@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-table3 bench-bdd bench-kernel bench-cluster bench-ooc bench-all experiments examples fuzz zfuzz zfuzz-soak cluster-smoke certify-smoke ooc-smoke conformance-regen clean
+.PHONY: all build test vet lint race bench bench-table3 bench-bdd bench-kernel bench-cluster bench-ooc bench-all experiments examples fuzz zfuzz zfuzz-soak cluster-smoke certify-smoke ooc-smoke bench-smoke conformance-regen clean
 
 all: build vet test
 
@@ -138,6 +138,13 @@ ooc-smoke:
 		| grep -v -e '^method=' -e '^ooc:' > $$tmp/ooc.out; \
 	diff $$tmp/kernel.out $$tmp/ooc.out; \
 	echo "ooc-smoke: verdict and core identical in and out of core"
+
+# The benchmark (bench/) is a nested module, so the root go build/vet/test
+# never compile it: vet it and run its short smoke tests, which fail when a
+# root change drops a name the benchmark uses. CI runs this as its own job.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # Record the out-of-core ablation as BENCH_ooc.json: the in-memory kernel
 # baseline vs the window-shifted checker at descending budgets on the same

@@ -169,10 +169,11 @@ func BenchmarkTable2Parallel(b *testing.B) {
 }
 
 // BenchmarkTable2Kernel measures method=kernel end to end on the native
-// trace: trace→TraceCheck→LRAT hint recording plus the trusted kernel's
-// hint-following verification, every iteration. Compare against
-// BenchmarkTable2Hybrid for the full price of kernel-gated validation and
-// against BenchmarkTable2KernelLRAT for the kernel's own share of it.
+// trace: replaying the trace's resolution chains into hinted clauses plus
+// the trusted kernel's hint-following verification, every iteration.
+// Compare against BenchmarkTable2Hybrid for the full price of kernel-gated
+// validation and against BenchmarkTable2KernelLRAT for the kernel's own
+// share of it.
 func BenchmarkTable2Kernel(b *testing.B) {
 	benchCheck(b, satcheck.Kernel, satcheck.CheckOptions{})
 }

@@ -33,11 +33,12 @@ type CheckRequest struct {
 	// direction instead: BreadthFirst forward-checks (streaming, no core),
 	// the others backward-check and produce an unsatisfiable core.
 	// Kernel routes either format through the trusted kernel
-	// (internal/kernel), the allocation-free hint-following core: native
-	// traces are bridged trace→TraceCheck→LRAT, DRAT proofs are
-	// forward-checked with hint recording, and the kernel verifies the
-	// hints and extracts the core. FormatLRAT and FormatER always verify
-	// in the kernel and otherwise ignore Method.
+	// (internal/kernel), the allocation-free hint-following core: a native
+	// trace's resolution chains are replayed in memory and its resolve
+	// sources become the hints, DRAT proofs are forward-checked with hint
+	// recording, and the kernel verifies the hints and extracts the core.
+	// FormatLRAT and FormatER always verify in the kernel and otherwise
+	// ignore Method.
 	Method Method
 	// Options configures the checker (memory limit, on-disk counts, ...).
 	// Options.Interrupt composes with the RunCheck context: both can abort.

@@ -1,6 +1,9 @@
 package satcheck_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -24,10 +27,13 @@ type goldenCheck struct {
 }
 
 // goldenEntry is the recorded verdict profile of one corpus instance.
+// LRATSha256 is the SHA-256 of TraceToLRAT's output: the bytes the
+// benchmark's lrat-kernel workload checks.
 type goldenEntry struct {
-	Status  string                 `json:"status"`
-	Learned int                    `json:"learnedClauses,omitempty"`
-	Checks  map[string]goldenCheck `json:"checks,omitempty"`
+	Status     string                 `json:"status"`
+	Learned    int                    `json:"learnedClauses,omitempty"`
+	Checks     map[string]goldenCheck `json:"checks,omitempty"`
+	LRATSha256 string                 `json:"lratSha256,omitempty"`
 }
 
 var goldenMethods = map[string]satcheck.Method{
@@ -38,7 +44,8 @@ var goldenMethods = map[string]satcheck.Method{
 }
 
 // TestGoldenVerdicts pins the exact verdict, unsat-core size, and resolution
-// counts of every committed corpus instance across all four native checkers.
+// counts of every committed corpus instance across all four native checkers,
+// and the exact bytes TraceToLRAT writes for it.
 // The file glob is the source of truth: adding a .cnf without regenerating the
 // golden file fails, as does a golden entry whose instance was deleted. After
 // a deliberate behavior change, regenerate with:
@@ -79,6 +86,12 @@ func TestGoldenVerdicts(t *testing.T) {
 					ClausesBuilt: res.ClausesBuilt,
 				}
 			}
+			var lrat bytes.Buffer
+			if _, err := satcheck.TraceToLRAT(f, run.Trace, &lrat, satcheck.CheckOptions{}); err != nil {
+				t.Fatalf("%s: TraceToLRAT: %v", name, err)
+			}
+			sum := sha256.Sum256(lrat.Bytes())
+			entry.LRATSha256 = hex.EncodeToString(sum[:])
 		}
 		got[name] = entry
 	}

@@ -8,9 +8,9 @@
 // (internal/certify/rupipe) lives there, and the whole point of the dual
 // check is that the two verdicts come from disjoint verification code.
 // It therefore carries its own small LRAT parser (writing straight into
-// the kernel's flat proof form) and its own chain-reversal translation of
-// TraceCheck resolution chains into kernel hints. The import-graph guard
-// test in internal/certify enforces the contract.
+// the kernel's flat proof form) and its own translation of the resolution
+// chains tracecheck.Derive validates into the kernel's flat proof. The
+// import-graph guard test in internal/certify enforces the contract.
 package kernelpipe
 
 import (
@@ -26,7 +26,7 @@ import (
 
 // Version names this pipeline implementation inside signed verdict
 // bundles. Bump on any change to the verification semantics.
-const Version = "kernelpipe/1 trusted-kernel LRAT (flat-array hint follower)"
+const Version = "kernelpipe/2 trusted-kernel LRAT (flat-array hint follower)"
 
 // Options bounds one pipeline run.
 type Options struct {
@@ -65,23 +65,17 @@ func CheckLRAT(f *cnf.Formula, lrat []byte, opts Options) (*Result, error) {
 	return runKernel(f, &kp, opts)
 }
 
-// CheckTrace verifies a native resolution trace of f: the TraceCheck
-// exporter materializes and validates every resolution chain, and chain
-// reversal turns each chain into kernel hints (a trivial resolution chain
-// with distinct pivots is a reverse-unit-propagation certificate read
-// backwards). The kernel re-verifies every hint, so the reversal needs no
-// trust.
+// CheckTrace verifies a native resolution trace of f: tracecheck.Derive
+// validates every resolution chain and orders each chain's antecedents
+// for replay, and the kernel re-verifies those hints, so the ordering
+// needs no trust.
 func CheckTrace(f *cnf.Formula, traceBytes []byte, opts Options) (*Result, error) {
-	var tc bytes.Buffer
-	if _, err := tracecheck.Export(f, bytesTraceSource(traceBytes), &tc); err != nil {
+	clauses, err := tracecheck.Derive(f, bytesTraceSource(traceBytes))
+	if err != nil {
 		return nil, &Reject{Detail: fmt.Sprintf("trace export: %v", err)}
 	}
-	clauses, err := tracecheck.Parse(&tc)
-	if err != nil {
-		return nil, &Reject{Detail: fmt.Sprintf("tracecheck parse: %v", err)}
-	}
 	var kp kernel.Proof
-	if err := proofFromChains(clauses, len(f.Clauses), &kp); err != nil {
+	if err := proofFromChains(clauses, &kp); err != nil {
 		return nil, &Reject{Detail: err.Error()}
 	}
 	return runKernel(f, &kp, opts)
@@ -136,20 +130,10 @@ func flattenFormula(f *cnf.Formula, kf *kernel.Formula) error {
 	return nil
 }
 
-// proofFromChains converts validated TraceCheck chains into a kernel proof
-// by chain reversal: hints of each derived clause are its antecedents in
-// reverse (conflicting clause last).
-func proofFromChains(clauses []tracecheck.Clause, nOrig int, kp *kernel.Proof) error {
-	kp.Ops = kp.Ops[:0]
-	kp.Lits = kp.Lits[:0]
-	kp.Hints = kp.Hints[:0]
-	kp.Dels = kp.Dels[:0]
-	kp.NumAdds = 0
+// proofFromChains converts derived clauses into the empty kernel proof kp.
+func proofFromChains(clauses []tracecheck.Clause, kp *kernel.Proof) error {
 	pMaxVar := 0
 	for _, c := range clauses {
-		if c.ID <= nOrig {
-			continue // originals are implied by the formula in LRAT terms
-		}
 		if c.ID > math.MaxInt32 {
 			return fmt.Errorf("clause ID %d exceeds the kernel's 31-bit ID space", c.ID)
 		}
@@ -160,12 +144,8 @@ func proofFromChains(clauses []tracecheck.Clause, nOrig int, kp *kernel.Proof) e
 			}
 			kp.Lits = append(kp.Lits, int32(l))
 		}
-		for i := len(c.Antecedents) - 1; i >= 0; i-- {
-			a := c.Antecedents[i]
-			if a > math.MaxInt32 || a < -math.MaxInt32 {
-				return fmt.Errorf("antecedent ID %d exceeds the kernel's 31-bit ID space", a)
-			}
-			kp.Hints = append(kp.Hints, int32(a))
+		for _, h := range c.Hints {
+			kp.Hints = append(kp.Hints, int32(h)) // hints name earlier clauses: h < c.ID
 		}
 		op.LitN = int32(len(kp.Lits)) - op.LitOff
 		op.HintN = int32(len(kp.Hints)) - op.HintOff

@@ -37,6 +37,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -357,7 +358,7 @@ func (rt *Router) KillShard(id string) error {
 	return err
 }
 
-// ShardIDs lists the registered shards (sorted via ring where possible).
+// ShardIDs lists the registered shards, sorted.
 func (rt *Router) ShardIDs() []string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -365,6 +366,7 @@ func (rt *Router) ShardIDs() []string {
 	for id := range rt.shards {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 

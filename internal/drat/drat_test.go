@@ -15,7 +15,6 @@ import (
 	"satcheck/internal/kernelcheck"
 	"satcheck/internal/solver"
 	"satcheck/internal/trace"
-	"satcheck/internal/tracecheck"
 )
 
 // simpleUnsat is the four-clause contradiction over two variables.
@@ -345,19 +344,15 @@ func TestTraceToLRAT(t *testing.T) {
 	}
 }
 
-func TestTraceCheckToLRAT(t *testing.T) {
+func TestTraceLRATLines(t *testing.T) {
 	f, mem := solvedTraceInstance(t)
-	var tc bytes.Buffer
-	if _, err := tracecheck.Export(f, mem, &tc); err != nil {
-		t.Fatal(err)
-	}
-	clauses, err := tracecheck.Parse(&tc)
+	lines, err := kernelcheck.TraceLRATLines(f, mem)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("TraceLRATLines: %v", err)
 	}
 	var lrat bytes.Buffer
-	if _, err := kernelcheck.TraceCheckToLRAT(f, clauses, &lrat, checker.Options{}); err != nil {
-		t.Fatalf("TraceCheckToLRAT: %v", err)
+	if err := drat.WriteLines(&lrat, lines); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := kernelcheck.CheckLRAT(f, drat.BytesSource(lrat.Bytes()), checker.Options{}); err != nil {
 		t.Fatalf("independent check: %v", err)

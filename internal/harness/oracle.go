@@ -537,9 +537,9 @@ func (r *round) checkMatrix(ins gen.Instance, mt *trace.MemoryTrace, dratASCII [
 	}
 
 	// Trusted-kernel cells: the same trace and DRAT proof, but gated end to
-	// end by the flat-array kernel (trace→TraceCheck→LRAT hints and forward
-	// DRAT hint recording, both verified by internal/kernel), with the
-	// kernel's backward hint-closure core as the by-product.
+	// end by the flat-array kernel (the trace's own resolve sources as hints
+	// and forward DRAT hint recording, both verified by internal/kernel),
+	// with the kernel's backward hint-closure core as the by-product.
 	if res, err := kernelcheck.KernelCheckTrace(f, mt, checker.Options{}); err != nil {
 		r.fail("valid-proof-rejected", ins.Name,
 			fmt.Sprintf("trusted kernel rejected a valid trace: %v", err), f, nil)

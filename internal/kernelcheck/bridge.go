@@ -1,7 +1,6 @@
 package kernelcheck
 
 import (
-	"bytes"
 	"io"
 
 	"satcheck/internal/checker"
@@ -31,21 +30,20 @@ func DRATToLRAT(f *cnf.Formula, src drat.Source, w io.Writer, opts checker.Optio
 	return res, nil
 }
 
-// TraceToLRAT converts a native satcheck trace to LRAT: learned clause
-// contents are materialized through the TraceCheck exporter (each resolution
-// chain is validated on the way), the resulting clause sequence is run
-// through the forward RUP engine with hint recording, and the emitted LRAT
-// is re-verified independently before being written.
+// TraceToLRAT converts a native satcheck trace to LRAT: tracecheck.Derive
+// materializes the learned clause contents (each resolution chain is
+// validated on the way), the derived clause sequence is run through the
+// forward RUP engine with hint recording, and the emitted LRAT is
+// re-verified independently before being written.
 func TraceToLRAT(f *cnf.Formula, src trace.Source, w io.Writer, opts checker.Options) (*checker.Result, error) {
-	var tc bytes.Buffer
-	if _, err := tracecheck.Export(f, src, &tc); err != nil {
-		return nil, err
-	}
-	clauses, err := tracecheck.Parse(&tc)
+	clauses, err := tracecheck.Derive(f, src)
 	if err != nil {
 		return nil, err
 	}
-	proof := proofFromTraceCheck(clauses, len(f.Clauses))
+	proof := &drat.Proof{}
+	for _, c := range clauses {
+		proof.Steps = append(proof.Steps, drat.Step{Lits: c.Lits})
+	}
 	res, lines, err := drat.AnnotateForward(f, proof, opts)
 	if err != nil {
 		return nil, err
@@ -56,60 +54,11 @@ func TraceToLRAT(f *cnf.Formula, src trace.Source, w io.Writer, opts checker.Opt
 	return res, nil
 }
 
-// TraceCheckToLRAT converts parsed TraceCheck clauses to LRAT using chain
-// reversal: a trivial resolution chain with distinct pivots is exactly a
-// reverse-unit-propagation certificate read backwards, so the hints of each
-// derived clause are its antecedents reversed (conflicting clause last).
-// Chains can in principle repeat pivot variables, where reversal is not a
-// valid RUP order — which is why the emitted proof is always re-verified by
-// the trusted kernel before being written; the returned Result is that
-// verification's.
-func TraceCheckToLRAT(f *cnf.Formula, clauses []tracecheck.Clause, w io.Writer, opts checker.Options) (*checker.Result, error) {
-	nOrig := len(f.Clauses)
-	lines := make([]drat.LRATLine, 0, len(clauses))
-	for _, c := range clauses {
-		if c.ID <= nOrig {
-			continue // originals are implied by the formula in LRAT
-		}
-		hints := make([]int, len(c.Antecedents))
-		for i, a := range c.Antecedents {
-			hints[len(hints)-1-i] = a
-		}
-		lines = append(lines, drat.LRATLine{ID: c.ID, Lits: c.Lits, Hints: hints})
-	}
-	res, err := verifyLines(f, lines, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := drat.WriteLines(w, lines); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // emitVerified re-verifies freshly generated lines with the trusted kernel
 // and only then writes them.
 func emitVerified(f *cnf.Formula, lines []drat.LRATLine, w io.Writer, opts checker.Options) error {
-	if _, err := verifyLines(f, lines, opts); err != nil {
+	if _, err := CheckLRATProof(f, &drat.LRATProof{Lines: lines}, opts); err != nil {
 		return err
 	}
 	return drat.WriteLines(w, lines)
-}
-
-func verifyLines(f *cnf.Formula, lines []drat.LRATLine, opts checker.Options) (*checker.Result, error) {
-	return CheckLRATProof(f, &drat.LRATProof{Lines: lines}, opts)
-}
-
-// proofFromTraceCheck lifts the derived clauses of a TraceCheck file into a
-// clausal proof (additions only; TraceCheck has no deletions).
-func proofFromTraceCheck(clauses []tracecheck.Clause, nOrig int) *drat.Proof {
-	p := &drat.Proof{}
-	for _, c := range clauses {
-		if c.ID <= nOrig {
-			continue
-		}
-		p.Steps = append(p.Steps, drat.Step{Lits: c.Lits})
-		p.Ints += int64(len(c.Lits)) + 1
-	}
-	return p
 }

@@ -1,9 +1,10 @@
 // Package kernelcheck is the bridge between the untrusted annotators and
 // the trusted kernel (internal/kernel). Every proof format terminates here:
-// parsed LRAT goes straight in, native traces and DRAT proofs are first
-// annotated by the forward engine (hint recording, internal/drat) and then
-// re-verified by the kernel — so the only code path that can report
-// "verified" is kernel.Check.
+// parsed LRAT goes straight in, native traces carry their own hints (each
+// learned clause's resolve sources, ordered by tracecheck.Derive), and
+// DRAT proofs are first annotated by the forward engine (hint recording,
+// internal/drat); the kernel re-verifies every hint, so the only code path
+// that can report "verified" is kernel.Check.
 //
 // This package deliberately lives outside internal/drat: the certification
 // pipeline (internal/certify) requires that the watched-literal DRAT engine
@@ -12,7 +13,6 @@
 package kernelcheck
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -235,23 +235,19 @@ func kernelError(err error) error {
 // but must surface the same diagnostics as the in-memory path.
 func TranslateKernelError(err error) error { return kernelError(err) }
 
-// TraceLRATLines bridges a native solver trace to annotated LRAT lines:
-// TraceCheck export, parse, and forward hint annotation — everything
-// KernelCheckTrace does short of the kernel run. The out-of-core checker
-// uses it to obtain a window-checkable LRAT stream from a trace.
-func TraceLRATLines(f *cnf.Formula, src trace.Source, opts checker.Options) ([]drat.LRATLine, error) {
-	var tc bytes.Buffer
-	if _, err := tracecheck.Export(f, src, &tc); err != nil {
-		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: -1, Err: err}
-	}
-	clauses, err := tracecheck.Parse(&tc)
+// TraceLRATLines turns a native solver trace into the LRAT lines of
+// tracecheck.Derive's clauses, sharing their literal and hint slices. A
+// malformed trace is a FailTrace rejection, as in every native checker, so
+// callers (zverify exit 2, zcheckd "rejected") never see an internal
+// failure. KernelCheckTrace and the out-of-core checker both use it.
+func TraceLRATLines(f *cnf.Formula, src trace.Source) ([]drat.LRATLine, error) {
+	clauses, err := tracecheck.Derive(f, src)
 	if err != nil {
 		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: -1, Err: err}
 	}
-	proof := proofFromTraceCheck(clauses, len(f.Clauses))
-	_, lines, err := drat.AnnotateForward(f, proof, opts)
-	if err != nil {
-		return nil, err
+	lines := make([]drat.LRATLine, len(clauses))
+	for i, c := range clauses {
+		lines[i] = drat.LRATLine{ID: c.ID, Lits: c.Lits, Hints: c.Hints}
 	}
 	return lines, nil
 }
@@ -290,25 +286,11 @@ func CheckLRATProof(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options)
 }
 
 // KernelCheckTrace verifies a native solver trace end to end through the
-// trusted kernel: the TraceCheck exporter materializes learned clauses, the
-// forward RUP engine (untrusted annotator) records unit-propagation hints,
-// and the kernel re-verifies the hinted derivation. The returned Result is
-// the kernel's, including the hint-closure unsat core over the original
-// clauses.
+// trusted kernel, with the trace's own resolve sources as hints
+// (TraceLRATLines). The returned Result is the kernel's, including the
+// hint-closure unsat core: the original clauses the trace's chains reach.
 func KernelCheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
-	var tc bytes.Buffer
-	if _, err := tracecheck.Export(f, src, &tc); err != nil {
-		// Export surfaces malformed traces as plain errors; classify them the
-		// way every native checker does so callers (zverify exit 2, zcheckd
-		// "rejected" verdicts) see a rejection, not an internal failure.
-		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: -1, Err: err}
-	}
-	clauses, err := tracecheck.Parse(&tc)
-	if err != nil {
-		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: -1, Err: err}
-	}
-	proof := proofFromTraceCheck(clauses, len(f.Clauses))
-	_, lines, err := drat.AnnotateForward(f, proof, opts)
+	lines, err := TraceLRATLines(f, src)
 	if err != nil {
 		return nil, err
 	}

@@ -102,11 +102,12 @@ func CheckDRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.
 	return CheckLines(f, lines, opts)
 }
 
-// CheckTrace verifies a native solver trace out of core: TraceCheck
-// export plus forward annotation produce hinted LRAT lines (untrusted,
-// in-memory), which the windowed kernel then verifies under the budget.
+// CheckTrace verifies a native solver trace out of core: the trace's
+// derived clauses, hinted with their own resolve sources
+// (kernelcheck.TraceLRATLines, in memory), are verified by the windowed
+// kernel under the budget.
 func CheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
-	lines, err := kernelcheck.TraceLRATLines(f, src, opts)
+	lines, err := kernelcheck.TraceLRATLines(f, src)
 	if err != nil {
 		return nil, err
 	}

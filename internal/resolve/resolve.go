@@ -116,17 +116,19 @@ func ResolventOn(a, b cnf.Clause, v cnf.Var) (cnf.Clause, error) {
 // Chain sequentially resolves start against each clause in sources,
 // returning the final clause. This is exactly the checker's recursive_build
 // inner loop from Figure 3 of the paper: cl = resolve(cl, src_i) with every
-// intermediate step validated.
+// intermediate step validated. Intermediate resolvents live in two
+// ping-pong buffers; the result is a fresh, exact-size, non-nil clause.
 func Chain(start cnf.Clause, sources []cnf.Clause) (cnf.Clause, error) {
 	cl := start
+	var buf [2]cnf.Clause
 	for i, src := range sources {
-		next, _, err := Resolvent(cl, src)
+		next, _, err := ResolventInto(buf[i%2][:0], cl, src)
 		if err != nil {
 			return nil, fmt.Errorf("step %d of %d: %w", i+1, len(sources), err)
 		}
-		cl = next
+		buf[i%2], cl = next, next
 	}
-	return cl, nil
+	return append(make(cnf.Clause, 0, len(cl)), cl...), nil
 }
 
 // Implies reports whether every total assignment satisfying all of premises

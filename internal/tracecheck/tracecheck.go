@@ -16,10 +16,10 @@
 // Unlike the native satcheck trace (§3.1 of the paper), TraceCheck lines
 // carry the *literals* of every derived clause, so the format is larger but
 // self-contained: a TraceCheck file can be validated without re-deriving
-// clause contents. Export materializes the literals by running the same
-// chain resolutions the checker performs — so a successful Export is itself
-// a full validation pass — and compiles the final level-0 stage into one
-// last chain deriving the empty clause.
+// clause contents. Derive materializes the literals by running the same
+// chain resolutions the checker performs — so a successful Derive is itself
+// a full validation pass — compiles the final level-0 stage into one last
+// chain deriving the empty clause, and orders each chain as kernel hints.
 package tracecheck
 
 import (
@@ -42,8 +42,11 @@ type Clause struct {
 	// Lits is the clause content in canonical order.
 	Lits cnf.Clause
 	// Antecedents is the resolution chain deriving the clause (empty for
-	// original clauses).
+	// original clauses and for Derive's restatement of an empty one).
 	Antecedents []int
+	// Hints lists the antecedents in the order a hint-following (LRAT)
+	// checker replays them. Set by Derive only.
+	Hints []int
 }
 
 // ExportStats summarizes an Export.
@@ -54,12 +57,49 @@ type ExportStats struct {
 	Bytes       int64
 }
 
-// Export converts a formula plus its UNSAT trace into TraceCheck format.
-// Every chain is validated while exporting; the output always ends with the
-// empty clause. Learned clause contents are materialized in memory, so this
-// is offline tooling rather than a bounded-memory checker (use the checker
-// package for that).
+// Export writes the normalized formula plus Derive's clauses in TraceCheck
+// format; the output always ends with the empty clause. Learned clause
+// contents are materialized in memory, so this is offline tooling rather
+// than a bounded-memory checker (use the checker package for that).
 func Export(f *cnf.Formula, src trace.Source, w io.Writer) (*ExportStats, error) {
+	derived, err := Derive(f, src)
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	cw := &countWriter{w: bw}
+	stats := &ExportStats{Originals: len(f.Clauses)}
+	for i, c := range f.Clauses {
+		nc, _ := c.Clone().Normalize()
+		if err := writeLine(cw, i+1, nc, nil); err != nil {
+			return nil, err
+		}
+	}
+	for _, c := range derived {
+		if len(c.Antecedents) == 0 {
+			continue // restates the formula's empty clause, written above
+		}
+		stats.Derived++
+		stats.Resolutions += int64(len(c.Antecedents) - 1)
+		if err := writeLine(cw, c.ID, c.Lits, c.Antecedents); err != nil {
+			return nil, err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	stats.Bytes = cw.n
+	return stats, nil
+}
+
+// Derive validates a native trace's resolution chains against f and returns
+// the clauses they derive, numbered as in TraceCheck (formula clause i has
+// ID i+1): the learned clauses in trace order, then, unless the final
+// conflicting clause is an empty learned clause, one deriving the empty
+// clause: the chain resolving the final conflicting clause against the
+// level-0 antecedents in reverse chronological order, or, when the formula
+// itself holds the empty final clause, a restatement with no Antecedents.
+func Derive(f *cnf.Formula, src trace.Source) ([]Clause, error) {
 	data, err := trace.Load(src)
 	if err != nil {
 		return nil, err
@@ -70,18 +110,14 @@ func Export(f *cnf.Formula, src trace.Source, w io.Writer) (*ExportStats, error)
 			data.FirstLearned, nOrig)
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	stats := &ExportStats{}
-	cw := &countWriter{w: bw}
-
 	originals := make([]cnf.Clause, nOrig)
+	maxVar := f.NumVars
 	for i, c := range f.Clauses {
 		nc, _ := c.Clone().Normalize()
 		originals[i] = nc
-		if err := writeLine(cw, i+1, nc, nil); err != nil {
-			return nil, err
+		for _, l := range nc {
+			maxVar = max(maxVar, int(l.Var()))
 		}
-		stats.Originals++
 	}
 
 	learned := make([]cnf.Clause, data.NumLearned())
@@ -100,104 +136,64 @@ func Export(f *cnf.Formula, src trace.Source, w io.Writer) (*ExportStats, error)
 		}
 	}
 
+	h := &hinter{isTrue: make([]bool, 2*maxVar+2)}
+	out := make([]Clause, 0, len(learned)+1)
+	var chain []cnf.Clause
 	for i, srcs := range data.LearnedSources {
 		id := nOrig + i
-		start, err := getClause(srcs[0])
-		if err != nil {
-			return nil, err
-		}
-		rest := make([]cnf.Clause, 0, len(srcs)-1)
-		for _, sid := range srcs[1:] {
+		chain = chain[:0]
+		for _, sid := range srcs {
 			cl, err := getClause(sid)
 			if err != nil {
 				return nil, err
 			}
-			rest = append(rest, cl)
+			chain = append(chain, cl)
 		}
-		out, err := resolve.Chain(start, rest)
+		lits, err := resolve.Chain(chain[0], chain[1:])
 		if err != nil {
 			return nil, fmt.Errorf("tracecheck: deriving clause %d: %w", id, err)
 		}
-		stats.Resolutions += int64(len(rest))
-		if out == nil {
-			out = cnf.Clause{}
-		}
-		learned[i] = out
-		ante := make([]int, len(srcs))
-		for j, sid := range srcs {
-			ante[j] = sid + 1
-		}
-		if err := writeLine(cw, id+1, out, ante); err != nil {
-			return nil, err
-		}
-		stats.Derived++
+		learned[i] = lits
+		out = append(out, h.derived(id+1, lits, srcs, chain))
+		data.LearnedSources[i] = nil // copied into Antecedents; free it early
 	}
 
-	// Compile the final stage (conflicting clause resolved against level-0
-	// antecedents in reverse chronological order) into one last chain.
-	finalChain, steps, err := finalChain(data, getClause)
+	srcs, chain, err := finalChain(data, getClause)
 	if err != nil {
 		return nil, err
 	}
-	stats.Resolutions += int64(steps)
-	if len(finalChain) > 1 || stepsNeeded(data, getClause) {
-		if err := writeLine(cw, nOrig+len(learned)+1, cnf.Clause{}, finalChain); err != nil {
-			return nil, err
-		}
-		stats.Derived++
-	} else {
-		// The final conflicting clause is already empty; it was emitted
-		// above (or is an original), so no extra line is needed — but for
-		// uniformity emit the empty-clause line referencing it unless it IS
-		// already the empty clause line.
-		cl, err := getClause(data.FinalConflict)
-		if err != nil {
-			return nil, err
-		}
-		if len(cl) != 0 {
-			return nil, fmt.Errorf("tracecheck: final clause %d not empty and no level-0 chain", data.FinalConflict)
-		}
+	switch id := nOrig + len(learned) + 1; {
+	case len(srcs) > 1:
+		out = append(out, h.derived(id, cnf.Clause{}, srcs, chain))
+	case data.FinalConflict < nOrig:
+		// The formula's own empty clause: restate it, since a kernel proof
+		// must add the empty clause.
+		out = append(out, Clause{ID: id, Lits: cnf.Clause{}, Hints: []int{data.FinalConflict + 1}})
 	}
-
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	stats.Bytes = cw.n
-	return stats, nil
+	return out, nil
 }
 
-// stepsNeeded reports whether the final conflicting clause is non-empty (so
-// a final chain line is required).
-func stepsNeeded(data *trace.Data, getClause func(int) (cnf.Clause, error)) bool {
-	cl, err := getClause(data.FinalConflict)
-	return err == nil && len(cl) > 0
-}
-
-// finalChain replays the final stage and returns the 1-based antecedent
-// chain [final conflicting clause, antecedents...] and the step count.
-func finalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]int, int, error) {
-	type rec struct {
-		value bool
-		ante  int
-		pos   int
-	}
+// finalChain replays the final stage and returns its resolution chain
+// [final conflicting clause, antecedents...] as 0-based IDs and clauses.
+func finalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]int, []cnf.Clause, error) {
+	type rec struct{ ante, pos int }
 	recs := make(map[cnf.Var]rec, len(data.Level0))
 	for i, r := range data.Level0 {
-		recs[r.Var] = rec{value: r.Value, ante: r.Ante, pos: i}
+		recs[r.Var] = rec{ante: r.Ante, pos: i}
 	}
 	cl, err := getClause(data.FinalConflict)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	chain := []int{data.FinalConflict + 1}
-	steps := 0
+	ids := []int{data.FinalConflict}
+	chain := []cnf.Clause{cl}
 	for len(cl) > 0 {
 		best := -1
 		bestPos := -1
 		for i, l := range cl {
 			r, ok := recs[l.Var()]
 			if !ok {
-				return nil, 0, fmt.Errorf("tracecheck: final-stage literal %s unassigned at level 0", l)
+				return nil, nil, fmt.Errorf("tracecheck: final-stage literal %s unassigned at level 0", l)
 			}
 			if r.pos > bestPos {
 				bestPos = r.pos
@@ -208,17 +204,92 @@ func finalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]in
 		r := recs[v]
 		ante, err := getClause(r.ante)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		next, rerr := resolve.ResolventOn(cl, ante, v)
 		if rerr != nil {
-			return nil, 0, fmt.Errorf("tracecheck: final stage on variable %d: %w", v, rerr)
+			return nil, nil, fmt.Errorf("tracecheck: final stage on variable %d: %w", v, rerr)
 		}
-		chain = append(chain, r.ante+1)
+		ids = append(ids, r.ante)
+		chain = append(chain, ante)
 		cl = next
-		steps++
 	}
-	return chain, steps, nil
+	return ids, chain, nil
+}
+
+// hinter orders chain antecedents as kernel hints. isTrue marks the
+// literals assumed or implied so far (all false between calls).
+type hinter struct {
+	isTrue  []bool
+	trail   []cnf.Lit
+	pending []int
+}
+
+// derived returns clause id (1-based) with content lits, derived by chain
+// (0-based IDs srcs). Hints walk the chain in reverse under ¬lits, emitting
+// each antecedent unit under the literals implied so far and, last, the
+// first falsified one; satisfied ones are dropped, ones with two open
+// literals wait for another sweep. Distinct pivots give the reversed chain
+// in one sweep; a repeated pivot still ends in a conflict, as a linear
+// chain is an input resolution and input and unit refutation are equivalent.
+func (h *hinter) derived(id int, lits cnf.Clause, srcs []int, chain []cnf.Clause) Clause {
+	n := len(srcs)
+	c := Clause{ID: id, Lits: lits, Antecedents: make([]int, n), Hints: make([]int, 0, n)}
+	for j, sid := range srcs {
+		c.Antecedents[j] = sid + 1
+	}
+	for _, l := range lits {
+		h.assume(l.Neg())
+	}
+	h.pending = h.pending[:0]
+	for j := n - 1; j >= 0; j-- {
+		h.pending = append(h.pending, j)
+	}
+sweep:
+	for progress := true; progress; {
+		progress = false
+		keep := h.pending[:0]
+		for _, j := range h.pending {
+			switch unit, open := h.eval(chain[j]); open {
+			case 0:
+				c.Hints = append(c.Hints, c.Antecedents[j])
+				break sweep
+			case 1:
+				c.Hints = append(c.Hints, c.Antecedents[j])
+				h.assume(unit)
+				progress = true
+			case 2:
+				keep = append(keep, j)
+			}
+		}
+		h.pending = keep
+	}
+	for _, l := range h.trail {
+		h.isTrue[l] = false
+	}
+	h.trail = h.trail[:0]
+	return c
+}
+
+// eval returns -1 if cl is satisfied, else its number of open literals up
+// to two, and the open literal when there is exactly one.
+func (h *hinter) eval(cl cnf.Clause) (unit cnf.Lit, open int) {
+	for _, l := range cl {
+		switch {
+		case h.isTrue[l]:
+			return 0, -1
+		case !h.isTrue[l.Neg()]:
+			if unit, open = l, open+1; open == 2 {
+				return 0, 2
+			}
+		}
+	}
+	return unit, open
+}
+
+func (h *hinter) assume(l cnf.Lit) {
+	h.isTrue[l] = true
+	h.trail = append(h.trail, l)
 }
 
 type countWriter struct {

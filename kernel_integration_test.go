@@ -12,9 +12,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"satcheck"
+	"satcheck/internal/certify/kernelpipe"
+	"satcheck/internal/cnf"
 	"satcheck/internal/core"
 	"satcheck/internal/drat"
 	"satcheck/internal/faults"
@@ -25,7 +28,8 @@ import (
 
 // TestKernelDifferentialSuite cross-checks method=kernel against hybrid and
 // parallel on every UNSAT instance of the quick suite, over both proof
-// encodings.
+// encodings. On the native trace the kernel's core must equal the
+// depth-first checker's: both are the closure of the trace's chains.
 func TestKernelDifferentialSuite(t *testing.T) {
 	for _, ins := range gen.SuiteQuick() {
 		ins := ins
@@ -42,11 +46,79 @@ func TestKernelDifferentialSuite(t *testing.T) {
 				t.Fatalf("kernel disagrees with hybrid on the native trace: %v", err)
 			}
 			checkKernelCore(t, "trace", ins.F, kres)
+			dfres, err := satcheck.Check(ins.F, mt, satcheck.DepthFirst, satcheck.CheckOptions{})
+			if err != nil {
+				t.Fatalf("native depth-first rejected: %v", err)
+			}
+			if !slices.Equal(kres.CoreClauses, dfres.CoreClauses) {
+				t.Fatalf("kernel core (%d clauses) differs from depth-first core (%d clauses)",
+					len(kres.CoreClauses), len(dfres.CoreClauses))
+			}
 			dres, err := satcheck.CheckDRAT(ins.F, satcheck.ProofBytesSource(proof), satcheck.Kernel, satcheck.CheckOptions{})
 			if err != nil {
 				t.Fatalf("kernel disagrees with hybrid on the DRAT proof: %v", err)
 			}
 			checkKernelCore(t, "drat", ins.F, dres)
+		})
+	}
+}
+
+// TestHandBuiltTraces pins valid traces at the corners of the native trace
+// → kernel path; every checker and the certification kernel pipeline must
+// accept each.
+//
+//   - repeated-pivot: (a∨b) (¬a∨c) (¬c∨a) (¬a∨d) derive (b∨d) on pivots a,
+//     c, a. Reversing that chain hints (¬a∨c) while ¬a is already true, so
+//     a plain-reversal translation rejects the proof.
+//   - formula-empty-clause: the final conflict is the formula's own empty
+//     clause, so no chain derives it.
+func TestHandBuiltTraces(t *testing.T) {
+	const a, b, c, d = 1, 2, 3, 4
+	pivots := satcheck.NewFormula(4)
+	pivots.AddClause(a, b)
+	pivots.AddClause(-a, c)
+	pivots.AddClause(-c, a)
+	pivots.AddClause(-a, d)
+	pivots.AddClause(-b)
+	pivots.AddClause(-d)
+	pivotsTrace := &trace.MemoryTrace{}
+	pivotsTrace.Learned(6, []int{0, 1, 2, 3})
+	pivotsTrace.LevelZero(cnf.Var(b), false, 4)
+	pivotsTrace.LevelZero(cnf.Var(d), false, 5)
+	pivotsTrace.FinalConflict(6)
+
+	empty := satcheck.NewFormula(1)
+	empty.AddClause(a)
+	empty.Add(cnf.Clause{})
+	emptyTrace := &trace.MemoryTrace{}
+	emptyTrace.FinalConflict(1)
+
+	for _, tc := range []struct {
+		name string
+		f    *satcheck.Formula
+		mt   *trace.MemoryTrace
+	}{
+		{"repeated-pivot", pivots, pivotsTrace},
+		{"formula-empty-clause", empty, emptyTrace},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, m := range []satcheck.Method{satcheck.DepthFirst, satcheck.BreadthFirst, satcheck.Hybrid,
+				satcheck.Parallel, satcheck.Kernel, satcheck.OOC} {
+				if _, err := satcheck.Check(tc.f, tc.mt, m, satcheck.CheckOptions{TempDir: t.TempDir()}); err != nil {
+					t.Errorf("%v rejected a valid trace: %v", m, err)
+				}
+			}
+			var tb bytes.Buffer
+			w := trace.NewASCIIWriter(&tb)
+			if err := tc.mt.Replay(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := kernelpipe.CheckTrace(tc.f, tb.Bytes(), kernelpipe.Options{}); err != nil {
+				t.Errorf("kernelpipe rejected a valid trace: %v", err)
+			}
 		})
 	}
 }
@@ -97,7 +169,7 @@ func TestKernelCoreIsUnsat(t *testing.T) {
 }
 
 // TestKernelRejectsNativeFaults injects every must-reject trace mutation and
-// requires the kernel path (trace→TraceCheck→LRAT→kernel) to reject it, just
+// requires the kernel path (trace→derived chains→kernel) to reject it, just
 // as the classic checkers do.
 func TestKernelRejectsNativeFaults(t *testing.T) {
 	f := gen.Pigeonhole(5).F

@@ -195,19 +195,20 @@ const (
 	// hint-following strategy.
 	BDD
 	// Kernel routes the proof through the trusted kernel
-	// (internal/kernel): the trace is exported to TraceCheck clause form,
-	// forward-checked into LRAT hints, and the hints are verified by the
-	// minimal allocation-free flat-array core that every proof format
-	// terminates in. Produces an unsatisfiable core (the kernel's backward
-	// hint closure). For FormatDRAT it forward-checks the clausal proof and
-	// kernel-verifies the recorded hints.
+	// (internal/kernel): the trace's resolution chains are replayed and
+	// their resolve sources become LRAT hints, verified by the minimal
+	// allocation-free flat-array core every proof format terminates in.
+	// Produces an unsatisfiable core (the kernel's backward hint closure;
+	// on a native trace, the depth-first core). For FormatDRAT it
+	// forward-checks the clausal proof and kernel-verifies the hints.
 	Kernel
 	// OOC is the out-of-core variant of Kernel (internal/ooc): the proof is
 	// partitioned into windows sized to CheckOptions.MemBudgetBytes, each
 	// window is verified by the trusted kernel over a bounded working set,
 	// and learned clauses crossing window boundaries are spilled to a
-	// checksummed disk index. RUP-only — RAT lemmas are rejected fail-closed
-	// — and otherwise verdict- and core-identical to Kernel.
+	// checksummed disk index (a native trace's hinted clauses are derived
+	// in memory first). RUP-only — RAT lemmas are rejected fail-closed —
+	// and otherwise verdict- and core-identical to Kernel.
 	OOC
 )
 
