@@ -14,6 +14,7 @@ import (
 
 	"satcheck"
 	"satcheck/internal/gen"
+	"satcheck/internal/ooc"
 )
 
 // oocBenchOpts is sized so the in-memory parse+check image is tens of MB —
@@ -63,7 +64,7 @@ func BenchmarkOOCKernelBaseline(b *testing.B) {
 	var res *satcheck.CheckResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = satcheck.CheckLRATCore(f, satcheck.ProofFileSource(lratPath), satcheck.CheckOptions{})
+		res, err = satcheck.CheckLRAT(f, satcheck.ProofFileSource(lratPath), satcheck.CheckOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkOOCBudget(b *testing.B) {
 			var res *satcheck.CheckResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = satcheck.CheckLRATOOC(f, satcheck.ProofFileSource(lratPath),
+				res, err = ooc.CheckLRAT(f, satcheck.ProofFileSource(lratPath),
 					satcheck.CheckOptions{MemBudgetBytes: budget})
 				if err != nil {
 					b.Fatal(err)

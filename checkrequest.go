@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"satcheck/internal/ooc"
 	"satcheck/internal/proofstat"
 	"satcheck/internal/trace"
 )
@@ -37,8 +38,9 @@ type CheckRequest struct {
 	// trace's resolution chains are replayed in memory and its resolve
 	// sources become the hints, DRAT proofs are forward-checked with hint
 	// recording, and the kernel verifies the hints and extracts the core.
-	// FormatLRAT and FormatER always verify in the kernel and otherwise
-	// ignore Method.
+	// OOC runs the kernel out of core. FormatLRAT otherwise verifies in the
+	// kernel and FormatER through the ER→LRAT bridge, whatever the method.
+	// CheckablePair names the pairs RunCheck refuses.
 	Method Method
 	// Options configures the checker (memory limit, on-disk counts, ...).
 	// Options.Interrupt composes with the RunCheck context: both can abort.
@@ -68,16 +70,43 @@ type CheckReport struct {
 	Elapsed time.Duration
 }
 
-// RunCheck validates one CheckRequest under a context. The context's
+// CheckablePair returns nil when RunCheck can check a proof in the given
+// format with method m, and the reason it cannot otherwise: BDD checks ER
+// proofs only, and OOC checks every format but ER, whose extension
+// definitions need the whole clause database. zcheckd applies the same
+// rule before it reads a request body.
+func CheckablePair(format ProofFormat, m Method) error {
+	switch {
+	case format < FormatNative || format > FormatER:
+		return fmt.Errorf("satcheck: unknown proof format %d", int(format))
+	case m.Name() == "":
+		return fmt.Errorf("satcheck: unknown check method %d", int(m))
+	case m == BDD && format != FormatER:
+		return fmt.Errorf("satcheck: method bdd checks er proofs only, not %s", format)
+	case m == OOC && format == FormatER:
+		return fmt.Errorf("satcheck: method ooc cannot check er proofs (extension definitions need the full clause database)")
+	}
+	return nil
+}
+
+// RunCheck validates one CheckRequest under a context. It is the one place
+// that maps a (format, method) pair to a checker. The context's
 // deadline/cancellation is honored mid-check: it is polled inside the
-// checker loops and on every trace read, so a hung or oversized job aborts
+// checker loops and on every proof read, so a hung or oversized job aborts
 // promptly with ctx.Err().
 //
 // The error return is reserved for infrastructure failures (I/O, context
-// cancellation, bad method). A rejected proof is NOT an error: it comes back
-// as a CheckReport with Valid=false and the Failure diagnostic, which is
-// what lets the zcheckd service answer "rejected" instead of 500.
+// cancellation, a pair CheckablePair refuses, a missing proof). A rejected
+// proof is NOT an error: it comes back as a CheckReport with Valid=false
+// and the Failure diagnostic, which is what lets the zcheckd service answer
+// "rejected" instead of 500.
 func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
+	if err := CheckablePair(req.Format, req.Method); err != nil {
+		return nil, err
+	}
+	if req.Format == FormatNative && req.Trace == nil || req.Format != FormatNative && req.Proof == nil {
+		return nil, fmt.Errorf("satcheck: %s check request has no proof source", req.Format)
+	}
 	opts := req.Options
 	prev := opts.Interrupt
 	opts.Interrupt = func() error {
@@ -89,107 +118,58 @@ func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
 		}
 		return nil
 	}
-	if req.Format != FormatNative {
-		return runClausalCheck(ctx, req, opts)
-	}
-	src := ctxSource{ctx: ctx, src: req.Trace}
-
-	start := time.Now()
-	res, err := Check(req.Formula, src, req.Method, opts)
-	elapsed := time.Since(start)
-
-	report := &CheckReport{Method: req.Method, Elapsed: elapsed}
-	if err != nil {
-		// Context errors win even when a checker wrapped them in a
-		// diagnostic (e.g. a CheckError around an aborted trace read).
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		var ce *CheckError
-		if errors.As(err, &ce) {
-			report.Failure = ce
-			return report, nil
-		}
-		return nil, err
-	}
-	report.Valid = true
-	report.Result = res
-	if req.Analyze {
-		stats, err := proofstat.Analyze(req.Formula, src)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
-		}
-		report.Stats = stats
-	}
-	return report, nil
-}
-
-// runClausalCheck is the DRAT/LRAT arm of RunCheck; opts already has the
-// context composed into Options.Interrupt.
-func runClausalCheck(ctx context.Context, req CheckRequest, opts CheckOptions) (*CheckReport, error) {
-	if req.Proof == nil {
-		return nil, fmt.Errorf("satcheck: %s check request has no proof source", req.Format)
-	}
-	src := ctxProofSource{ctx: ctx, src: req.Proof}
+	f, m := req.Formula, req.Method
+	traceSrc := ctxSource{ctx: ctx, src: req.Trace}
+	proofSrc := ctxProofSource{ctx: ctx, src: req.Proof}
 
 	start := time.Now()
 	var res *CheckResult
 	var err error
+	var analyze func() (*ProofStats, error)
 	switch req.Format {
+	case FormatNative:
+		res, err = Check(f, traceSrc, m, opts)
+		analyze = func() (*ProofStats, error) { return proofstat.Analyze(f, traceSrc) }
 	case FormatDRAT:
-		res, err = CheckDRAT(req.Formula, src, req.Method, opts)
+		res, err = CheckDRAT(f, proofSrc, m, opts)
+		analyze = func() (*ProofStats, error) { return proofstat.AnalyzeDRAT(f, proofSrc) }
 	case FormatLRAT:
-		if req.Method == OOC {
-			res, err = CheckLRATOOC(req.Formula, src, opts)
+		if m == OOC {
+			res, err = ooc.CheckLRAT(f, proofSrc, opts)
 		} else {
-			res, err = CheckLRAT(req.Formula, src, opts)
+			res, err = CheckLRAT(f, proofSrc, opts)
 		}
+		analyze = func() (*ProofStats, error) { return proofstat.AnalyzeLRAT(f, proofSrc) }
 	case FormatER:
-		if req.Method == OOC {
-			return nil, fmt.Errorf("satcheck: the out-of-core checker does not support %s proofs (extension definitions need the full database)", req.Format)
-		}
-		res, err = CheckER(req.Formula, src, opts)
-	default:
-		return nil, fmt.Errorf("satcheck: unknown proof format %d", int(req.Format))
+		res, err = CheckER(f, proofSrc, opts)
+		analyze = func() (*ProofStats, error) { return proofstat.AnalyzeER(f, proofSrc) }
 	}
-	elapsed := time.Since(start)
-
-	report := &CheckReport{Method: req.Method, Elapsed: elapsed}
+	report := &CheckReport{Method: m, Elapsed: time.Since(start)}
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
+		// Context errors win even when a checker wrapped them in a
+		// diagnostic (e.g. a CheckError around an aborted trace read).
 		var ce *CheckError
-		if errors.As(err, &ce) {
+		if ctx.Err() == nil && errors.As(err, &ce) {
 			report.Failure = ce
 			return report, nil
 		}
-		return nil, err
+		return nil, ctxErrOr(ctx, err)
 	}
-	report.Valid = true
-	report.Result = res
+	report.Valid, report.Result = true, res
 	if req.Analyze {
-		var stats *ProofStats
-		switch req.Format {
-		case FormatDRAT:
-			stats, err = proofstat.AnalyzeDRAT(req.Formula, src)
-		case FormatER:
-			stats, err = proofstat.AnalyzeER(req.Formula, src)
-		default:
-			stats, err = proofstat.AnalyzeLRAT(req.Formula, src)
+		if report.Stats, err = analyze(); err != nil {
+			return nil, ctxErrOr(ctx, err)
 		}
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
-		}
-		report.Stats = stats
 	}
 	return report, nil
+}
+
+// ctxErrOr returns ctx's error if it is done, err otherwise.
+func ctxErrOr(ctx context.Context, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return err
 }
 
 // ctxSource aborts trace reads once the context is done, covering the

@@ -1,8 +1,11 @@
 package satcheck_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,5 +96,91 @@ func TestRunCheckHonorsContext(t *testing.T) {
 		Formula: f, Trace: mt, Method: satcheck.BreadthFirst, Analyze: true,
 	}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestRunCheckNoProofSource pins that a request without its proof is an
+// error for every format, never a panic.
+func TestRunCheckNoProofSource(t *testing.T) {
+	f := phpFormula(3)
+	for _, format := range []satcheck.ProofFormat{satcheck.FormatNative, satcheck.FormatDRAT, satcheck.FormatLRAT, satcheck.FormatER} {
+		_, err := satcheck.RunCheck(context.Background(), satcheck.CheckRequest{Formula: f, Format: format})
+		if err == nil || !strings.Contains(err.Error(), "has no proof source") {
+			t.Errorf("%s request without a proof: err = %v, want a missing-proof error", format, err)
+		}
+	}
+}
+
+// TestRunCheckMatrix pins RunCheck's dispatch table on one small UNSAT
+// instance, padded with two clauses no refutation needs: every proof format
+// under every method is valid with the proof's core ('c'), valid without a
+// core ('-'), or refused by CheckablePair ('x').
+func TestRunCheckMatrix(t *testing.T) {
+	f := phpFormula(4)
+	v := f.NumVars
+	f.AddClause(v+1, v+2)
+	f.AddClause(-(v + 1), v+3)
+	st, mt, dratProof := solveBoth(t, f)
+	if st != satcheck.StatusUnsat {
+		t.Fatalf("padded php-4 solved %v", st)
+	}
+	var lrat, er bytes.Buffer
+	if _, err := satcheck.TraceToLRAT(f, mt, &lrat, satcheck.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	bres, err := satcheck.SolveBDD(f, satcheck.BDDOptions{Proof: true})
+	if err != nil || bres.Status != satcheck.StatusUnsat {
+		t.Fatalf("SolveBDD: %v, %v", bres, err)
+	}
+	if err := satcheck.WriteERProof(&er, bres.Proof); err != nil {
+		t.Fatal(err)
+	}
+	// Columns: df bf hybrid parallel bdd kernel ooc.
+	methods := []satcheck.Method{satcheck.DepthFirst, satcheck.BreadthFirst, satcheck.Hybrid,
+		satcheck.Parallel, satcheck.BDD, satcheck.Kernel, satcheck.OOC}
+	rows := []struct {
+		format satcheck.ProofFormat
+		cells  string
+		trace  satcheck.TraceSource
+		proof  []byte
+	}{
+		{satcheck.FormatNative, "c-ccxcc", mt, nil},
+		{satcheck.FormatDRAT, "c-ccxcc", nil, dratProof},
+		{satcheck.FormatLRAT, "ccccxcc", nil, lrat.Bytes()},
+		{satcheck.FormatER, "------x", nil, er.Bytes()},
+	}
+	wantCore := make([]int, 0, f.NumClauses()-2)
+	for i := 0; i < f.NumClauses()-2; i++ {
+		wantCore = append(wantCore, i)
+	}
+	for _, row := range rows {
+		for i, m := range methods {
+			cell := row.cells[i]
+			req := satcheck.CheckRequest{Formula: f, Format: row.format, Method: m, Trace: row.trace,
+				Options: satcheck.CheckOptions{TempDir: t.TempDir()}}
+			if row.proof != nil {
+				req.Proof = satcheck.ProofBytesSource(row.proof)
+			}
+			rep, err := satcheck.RunCheck(context.Background(), req)
+			label := row.format.String() + "/" + m.Name()
+			if cell == 'x' {
+				rule := satcheck.CheckablePair(row.format, m)
+				if rule == nil || err == nil || err.Error() != rule.Error() {
+					t.Errorf("%s: err = %v, want the refusal %v", label, err, rule)
+				}
+				continue
+			}
+			if err != nil || !rep.Valid {
+				t.Errorf("%s: report %+v, err %v; want valid", label, rep, err)
+				continue
+			}
+			core := rep.Result.CoreClauses
+			switch {
+			case cell == '-' && core != nil:
+				t.Errorf("%s: unexpected core %v", label, core)
+			case cell == 'c' && !slices.Equal(core, wantCore):
+				t.Errorf("%s: core %v, want %v", label, core, wantCore)
+			}
+		}
 	}
 }

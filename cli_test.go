@@ -528,6 +528,26 @@ func TestCLIDRUPPipeline(t *testing.T) {
 		t.Fatalf("zproof check on truncated DRUP: exit %d (want 2): %s", code, out)
 	}
 
+	// An ER proof from the BDD backend checks under zverify's default
+	// method and under -method bdd, which takes ER proofs only.
+	erPath := filepath.Join(work, "inst.er")
+	if out, code := runTool(t, "zsat", "-method", "bdd", "-er", erPath, cnfPath); code != 20 {
+		t.Fatalf("zsat -method bdd -er exit %d (want 20=UNSAT): %s", code, out)
+	}
+	for _, args := range [][]string{{"-format", "er"}, {"-method", "bdd", "-format", "er"}} {
+		out, code = runTool(t, "zverify", append(args, cnfPath, erPath)...)
+		if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=er") {
+			t.Fatalf("zverify %v exit %d: %s", args, code, out)
+		}
+	}
+	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "er", erPath)
+	if code != 0 || !strings.Contains(out, "PROOF VALID (er)") {
+		t.Fatalf("zproof check -format er exit %d: %s", code, out)
+	}
+	if out, code := runTool(t, "zverify", "-method", "bdd", cnfPath, drupPath); code != 1 || !strings.Contains(out, "er proofs only") {
+		t.Errorf("zverify -method bdd on a native trace: exit %d (want 1 with the refusal): %s", code, out)
+	}
+
 	// Clausal proof statistics.
 	out, code = runTool(t, "zproof", "stats", "-cnf", cnfPath, "-trace", drupPath, "-format", "drat")
 	if code != 0 || !strings.Contains(out, "added clauses") {

@@ -5,9 +5,15 @@
 //
 // Usage:
 //
-//	zcheck [-addr http://localhost:8347] [-method df|bf|hybrid|parallel|kernel]
-//	       [-format native|drat|lrat] [-j N] [-mem-limit-mb N] [-timeout D]
-//	       [-analyze] [-core] [-retries N] formula.cnf proof.trace
+//	zcheck [-addr http://localhost:8347]
+//	       [-method df|bf|hybrid|parallel|bdd|kernel|ooc]
+//	       [-format native|drat|lrat|er] [-j N] [-mem-limit-mb N]
+//	       [-mem-budget 64MiB] [-timeout D] [-analyze] [-core] [-retries N]
+//	       formula.cnf proof
+//
+// Methods and formats mean what they mean to zverify; a pair that
+// satcheck.RunCheck refuses (bdd with anything but -format er, ooc with
+// -format er) exits 1 before anything is sent.
 //
 // Backpressure answers (HTTP 429/503) and transport errors are retried up
 // to -retries times with jittered exponential backoff, honoring the
@@ -63,14 +69,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://localhost:8347", "zcheckd base URL")
-	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, kernel, or ooc")
-	formatName := fs.String("format", "native", "proof encoding: native, drat, or lrat")
+	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, bdd, kernel, or ooc")
+	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, or er")
 	jobs := fs.Int("j", 0, "parallel only: requested worker count (server caps it at its pool size)")
 	memLimitMB := fs.Int64("mem-limit-mb", 0, "per-job checker memory budget in MB (0 = unlimited)")
 	memBudget := fs.String("mem-budget", "", "ooc only: window-shifting memory budget, e.g. 64MiB (mem_budget= on the wire)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 	analyze := fs.Bool("analyze", false, "also request proof-graph statistics")
-	core := fs.Bool("core", false, "print the unsatisfiable core clause IDs (df/hybrid)")
+	core := fs.Bool("core", false, "print the unsatisfiable core clause IDs (every method but bf; not for er proofs)")
 	retries := fs.Int("retries", 0, "retry 429/503 and transport errors this many times (jittered exponential backoff)")
 	retryBase := fs.Duration("retry-base", 200*time.Millisecond, "first retry delay; doubles per attempt")
 	async := fs.Bool("async", false, "submit via the cluster job API and poll instead of waiting synchronously")
@@ -94,22 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var m satcheck.Method
-	switch *method {
-	case "df", "depth-first":
-		m = satcheck.DepthFirst
-	case "bf", "breadth-first":
-		m = satcheck.BreadthFirst
-	case "hybrid":
-		m = satcheck.Hybrid
-	case "parallel":
-		m = satcheck.Parallel
-	case "kernel":
-		m = satcheck.Kernel
-	case "ooc":
-		m = satcheck.OOC
-	default:
-		fmt.Fprintf(stderr, "zcheck: unknown method %q\n", *method)
+	m, err := satcheck.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(stderr, "zcheck:", err)
 		return 1
 	}
 	format, err := satcheck.ParseProofFormat(*formatName)
@@ -168,6 +161,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"drat", fs.Arg(2)},
 		}
 		return cl.runCertify(stdout, opts)
+	}
+	if err := satcheck.CheckablePair(format, m); err != nil {
+		fmt.Fprintln(stderr, "zcheck:", err)
+		return 1
 	}
 	if *async {
 		return cl.runAsync(stdout, opts, *class, *webhook, *pollEvery, *core)

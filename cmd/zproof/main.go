@@ -29,20 +29,17 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"satcheck"
-	"satcheck/internal/bdd"
 	"satcheck/internal/checker"
 	"satcheck/internal/cnf"
 	"satcheck/internal/drat"
 	"satcheck/internal/interp"
-	"satcheck/internal/kernelcheck"
-	"satcheck/internal/ooc"
 	"satcheck/internal/proofstat"
 	"satcheck/internal/solver"
 	"satcheck/internal/trace"
@@ -186,60 +183,19 @@ func runCheck(args []string) int {
 		fmt.Fprintln(os.Stderr, "zproof: check needs exactly one proof file")
 		return 1
 	}
-	var copts checker.Options
+	req := satcheck.CheckRequest{Method: satcheck.Kernel}
 	if *memBudget != "" {
+		// A set budget routes through the out-of-core checker: the same
+		// kernel, window by window (see docs/OOC.md).
 		b, err := satcheck.ParseByteSize(*memBudget)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zproof:", err)
 			return 1
 		}
-		copts.MemBudgetBytes = b
+		req.Method, req.Options.MemBudgetBytes = satcheck.OOC, b
 	}
-	switch *format {
-	case "drat", "drup", "lrat", "er":
-		f, ok := loadCNF(*cnfPath)
-		if !ok {
-			return 1
-		}
-		var err error
-		switch {
-		case *format == "er":
-			if *memBudget != "" {
-				fmt.Fprintln(os.Stderr, "zproof: -mem-budget does not apply to er proofs (extension definitions need the full database)")
-				return 1
-			}
-			err = checkER(f, fs.Arg(0))
-		case *format == "lrat" && *memBudget != "":
-			// A set budget routes through the out-of-core checker: the same
-			// kernel, window by window (see docs/OOC.md).
-			_, err = ooc.CheckLRAT(f, drat.FileSource(fs.Arg(0)), copts)
-		case *format == "lrat":
-			_, err = kernelcheck.CheckLRAT(f, drat.FileSource(fs.Arg(0)), copts)
-		case *memBudget != "":
-			_, err = ooc.CheckDRAT(f, drat.FileSource(fs.Arg(0)), copts)
-		default:
-			// Forward-check the DRAT proof, then verify the recorded hints in
-			// the trusted kernel — the same gate every other format passes.
-			_, err = kernelcheck.KernelCheckDRAT(f, drat.FileSource(fs.Arg(0)), copts)
-		}
-		if err != nil {
-			var ce *checker.CheckError
-			if errors.As(err, &ce) {
-				fmt.Printf("RESULT: CHECK FAILED (%s)\n", ce.Kind)
-				fmt.Printf("kind=%s clause=%d step=%d\n", ce.Kind, ce.ClauseID, ce.Step)
-				fmt.Printf("detail: %v\n", ce)
-				return 2
-			}
-			fmt.Fprintln(os.Stderr, "zproof:", err)
-			return 1
-		}
-		fmt.Printf("RESULT: PROOF VALID (%s)\n", *format)
-		return 0
-	case "tc":
-		// TraceCheck path below.
-	default:
-		fmt.Fprintf(os.Stderr, "zproof: unknown proof format %q (want tc, drat, lrat, or er)\n", *format)
-		return 1
+	if *format != "tc" {
+		return checkClausal(req, *cnfPath, *format, fs.Arg(0))
 	}
 	var f *cnf.Formula
 	if *cnfPath != "" {
@@ -273,21 +229,32 @@ func runCheck(args []string) int {
 	return 0
 }
 
-// checkER parses an extended-resolution proof and validates it through the
-// ER→LRAT bridge. A proof that fails to parse is a verification failure, not
-// an IO error: the file was readable but is not a proof.
-func checkER(f *cnf.Formula, path string) error {
-	fh, err := os.Open(path)
-	if err != nil {
-		return err
+// checkClausal completes req with a DRAT, LRAT, or ER proof and its
+// formula, and verifies it through satcheck.RunCheck.
+func checkClausal(req satcheck.CheckRequest, cnfPath, format, proofPath string) int {
+	var err error
+	if req.Format, err = satcheck.ParseProofFormat(format); err != nil || req.Format == satcheck.FormatNative {
+		fmt.Fprintf(os.Stderr, "zproof: unknown proof format %q (want tc, drat, lrat, or er)\n", format)
+		return 1
 	}
-	defer fh.Close()
-	p, err := bdd.ParseER(fh)
-	if err != nil {
-		return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: -1, Err: err}
+	req.Proof = satcheck.ProofFileSource(proofPath)
+	var ok bool
+	if req.Formula, ok = loadCNF(cnfPath); !ok {
+		return 1
 	}
-	_, err = bdd.CheckER(f, p, checker.Options{})
-	return err
+	rep, err := satcheck.RunCheck(context.Background(), req)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "zproof:", err)
+		return 1
+	}
+	if ce := rep.Failure; ce != nil {
+		fmt.Printf("RESULT: CHECK FAILED (%s)\n", ce.Kind)
+		fmt.Printf("kind=%s clause=%d step=%d\n", ce.Kind, ce.ClauseID, ce.Step)
+		fmt.Printf("detail: %v\n", ce)
+		return 2
+	}
+	fmt.Printf("RESULT: PROOF VALID (%s)\n", format)
+	return 0
 }
 
 func runStats(args []string) int {

@@ -5,22 +5,26 @@
 //
 // Usage:
 //
-//	zverify [-method df|bf|hybrid|parallel|kernel|ooc] [-format native|drat|lrat]
-//	        [-j N] [-mem-limit-mb N] [-mem-budget 64MiB] [-counts-on-disk]
-//	        formula.cnf proof.trace
+//	zverify [-method df|bf|hybrid|parallel|bdd|kernel|ooc]
+//	        [-format native|drat|lrat|er] [-j N] [-mem-limit-mb N]
+//	        [-mem-budget 64MiB] [-counts-on-disk] [-core]
+//	        formula.cnf proof
 //
 // -format selects the proof encoding: the native resolution trace (default),
-// a clausal DRUP/DRAT proof (zsat -drup), or LRAT. For DRAT, the method maps
-// onto a checking direction: bf checks forward (streaming, no core); df,
-// hybrid, and parallel check backward (only the needed lemmas, with an
+// a clausal DRUP/DRAT proof (zsat -drup), LRAT, or an extended-resolution
+// proof from the BDD backend (zsat -method bdd -er). For DRAT, the method
+// maps onto a checking direction: bf checks forward (streaming, no core);
+// df, hybrid, and parallel check backward (only the needed lemmas, with an
 // unsatisfiable core as the by-product, exactly like their native
 // counterparts). The kernel method bridges native traces and DRAT proofs to
 // propagation hints and verifies them in the trusted flat-array kernel
 // (internal/kernel), producing a core from the hint closure. LRAT verifies
-// in the kernel by default; the ooc method runs the same kernel window by
-// window, out of core, under the -mem-budget ceiling (see docs/OOC.md),
-// with a verdict and core identical to the unconstrained kernel on RUP
-// proofs.
+// in the kernel, with that core, by default; the ooc method runs the same
+// kernel window by window, out of core, under the -mem-budget ceiling (see
+// docs/OOC.md), with a verdict and core identical to the unconstrained
+// kernel on RUP proofs. ER proofs are bridged to LRAT and kernel-checked
+// under every method but ooc; bdd names that check and takes ER proofs only.
+// satcheck.RunCheck picks the checker and refuses the pairs it cannot check.
 //
 // Exit status: 0 when the proof is valid, 2 when checking fails (the solver
 // or its trace generation is buggy), 1 on usage or I/O errors. Exit 2 is
@@ -29,7 +33,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +41,7 @@ import (
 	"time"
 
 	"satcheck"
+	"satcheck/internal/trace"
 )
 
 func main() {
@@ -46,14 +51,14 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zverify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, kernel, or ooc")
-	formatName := fs.String("format", "native", "proof encoding: native, drat, or lrat")
+	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, bdd, kernel, or ooc")
+	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, or er")
 	jobs := fs.Int("j", 0, "parallel only: worker count (0 = one per available CPU)")
 	memLimitMB := fs.Int64("mem-limit-mb", 0, "abort if the checker memory model exceeds this many MB (0 = unlimited)")
 	memBudget := fs.String("mem-budget", "", "ooc only: window-shifting memory budget (e.g. 64MiB; default 256MiB)")
 	countsOnDisk := fs.Bool("counts-on-disk", false, "bf only: keep use counts in a temp file, computed in ranges")
 	countRange := fs.Int("count-range", 1<<20, "bf only: counters per counting pass with -counts-on-disk")
-	core := fs.Bool("core", false, "df/hybrid/parallel: print the unsatisfiable core clause IDs")
+	core := fs.Bool("core", false, "print the unsatisfiable core clause IDs (every method but bf; not for er proofs)")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -63,25 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var m satcheck.Method
-	switch *method {
-	case "df", "depth-first":
-		m = satcheck.DepthFirst
-	case "bf", "breadth-first":
-		m = satcheck.BreadthFirst
-	case "hybrid":
-		m = satcheck.Hybrid
-	case "parallel":
-		m = satcheck.Parallel
-	case "kernel":
-		m = satcheck.Kernel
-	case "ooc":
-		m = satcheck.OOC
-	default:
-		fmt.Fprintf(stderr, "zverify: unknown method %q\n", *method)
+	m, err := satcheck.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(stderr, "zverify:", err)
 		return 1
 	}
-
 	format, err := satcheck.ParseProofFormat(*formatName)
 	if err != nil {
 		fmt.Fprintln(stderr, "zverify:", err)
@@ -107,40 +98,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	start := time.Now()
-	var res *satcheck.CheckResult
-	switch format {
-	case satcheck.FormatDRAT:
-		res, err = satcheck.CheckDRAT(f, satcheck.ProofFileSource(fs.Arg(1)), m, opts)
-	case satcheck.FormatLRAT:
-		switch {
-		case m == satcheck.OOC:
-			res, err = satcheck.CheckLRATOOC(f, satcheck.ProofFileSource(fs.Arg(1)), opts)
-		case *core:
-			// The plain LRAT kernel path skips core marking; ask for it so
-			// -core output (and core hashes) match the other methods.
-			res, err = satcheck.CheckLRATCore(f, satcheck.ProofFileSource(fs.Arg(1)), opts)
-		default:
-			res, err = satcheck.CheckLRAT(f, satcheck.ProofFileSource(fs.Arg(1)), opts)
-		}
-	default:
-		res, err = satcheck.CheckFile(f, fs.Arg(1), m, opts)
+	req := satcheck.CheckRequest{Formula: f, Format: format, Method: m, Options: opts}
+	if format == satcheck.FormatNative {
+		req.Trace = trace.FileSource(fs.Arg(1))
+	} else {
+		req.Proof = satcheck.ProofFileSource(fs.Arg(1))
 	}
-	elapsed := time.Since(start)
+	rep, err := satcheck.RunCheck(context.Background(), req)
 	if err != nil {
-		var ce *satcheck.CheckError
-		if errors.As(err, &ce) {
-			fmt.Fprintf(stdout, "RESULT: CHECK FAILED (%s)\n", ce.Kind)
-			fmt.Fprintf(stdout, "kind=%s clause=%d step=%d\n", ce.Kind, ce.ClauseID, ce.Step)
-			fmt.Fprintf(stdout, "detail: %v\n", ce)
-			return 2
-		}
 		fmt.Fprintln(stderr, "zverify:", err)
 		return 1
 	}
+	if ce := rep.Failure; ce != nil {
+		fmt.Fprintf(stdout, "RESULT: CHECK FAILED (%s)\n", ce.Kind)
+		fmt.Fprintf(stdout, "kind=%s clause=%d step=%d\n", ce.Kind, ce.ClauseID, ce.Step)
+		fmt.Fprintf(stdout, "detail: %v\n", ce)
+		return 2
+	}
+	res := rep.Result
 	fmt.Fprintln(stdout, "RESULT: PROOF VALID — the formula is unsatisfiable")
 	fmt.Fprintf(stdout, "method=%s format=%s time=%v learned=%d built=%d (%.1f%%) resolutions=%d peak-mem=%dKB\n",
-		m, format, elapsed.Round(time.Millisecond), res.LearnedTotal, res.ClausesBuilt,
+		m, format, rep.Elapsed.Round(time.Millisecond), res.LearnedTotal, res.ClausesBuilt,
 		100*res.BuiltFraction(), res.ResolutionSteps, res.PeakMemWords*4/1024)
 	if res.OOCWindows > 0 {
 		fmt.Fprintf(stdout, "ooc: windows=%d spilled-clauses=%d spilled-bytes=%d mem-budget=%dKB\n",

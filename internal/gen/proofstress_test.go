@@ -26,7 +26,7 @@ func TestStressProofValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := drat.BytesSource(lrat.Bytes())
-	kres, err := kernelcheck.CheckLRATCore(f, src, checker.Options{})
+	kres, err := kernelcheck.CheckLRAT(f, src, checker.Options{})
 	if err != nil {
 		t.Fatalf("kernel rejected the stress LRAT proof: %v", err)
 	}

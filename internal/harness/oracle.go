@@ -567,7 +567,7 @@ func (r *round) checkMatrix(ins gen.Instance, mt *trace.MemoryTrace, dratASCII [
 	// statistics, and core must be identical to the unconstrained kernel's
 	// on the same bytes.
 	if lratBuf.Len() > 0 {
-		kref, err := kernelcheck.CheckLRATCore(f, drat.BytesSource(lratBuf.Bytes()), checker.Options{})
+		kref, err := kernelcheck.CheckLRAT(f, drat.BytesSource(lratBuf.Bytes()), checker.Options{})
 		if err == nil {
 			var ores *checker.Result
 			oerr := error(nil)

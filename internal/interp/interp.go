@@ -33,6 +33,7 @@ import (
 	"satcheck/internal/resolve"
 	"satcheck/internal/solver"
 	"satcheck/internal/trace"
+	"satcheck/internal/tracecheck"
 )
 
 // Interpolant is the result of Compute.
@@ -132,39 +133,30 @@ func Compute(f *cnf.Formula, src trace.Source, inA []bool) (*Interpolant, error)
 		learned[i] = cur
 	}
 
-	// Final stage: resolve the conflicting clause against level-0
-	// antecedents in reverse chronological order until empty.
-	type l0rec struct {
-		ante int
-		pos  int
-	}
-	recs := make(map[cnf.Var]l0rec, len(data.Level0))
-	for i, r := range data.Level0 {
-		recs[r.Var] = l0rec{ante: r.Ante, pos: i}
-	}
-	cur, err := get(data.FinalConflict)
+	// Final stage: fold the chain tracecheck.FinalChain validates. Its
+	// clause lookup reads contents only, so no interpolant gate is built
+	// twice.
+	ids, _, err := tracecheck.FinalChain(data, func(id int) (cnf.Clause, error) {
+		if id >= 0 && id < nOrig {
+			lits, _ := f.Clauses[id].Clone().Normalize()
+			return lits, nil
+		}
+		n, err := get(id)
+		return n.cl, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	for len(cur.cl) > 0 {
-		best := -1
-		bestPos := -1
-		for i, l := range cur.cl {
-			r, ok := recs[l.Var()]
-			if !ok {
-				return nil, fmt.Errorf("interp: final-stage literal %s unassigned at level 0", l)
-			}
-			if r.pos > bestPos {
-				bestPos = r.pos
-				best = i
-			}
-		}
-		ante, err := get(recs[cur.cl[best].Var()].ante)
+	cur, err := get(ids[0])
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range ids[1:] {
+		ante, err := get(id)
 		if err != nil {
 			return nil, err
 		}
-		cur, err = b.resolveNodes(cur, ante)
-		if err != nil {
+		if cur, err = b.resolveNodes(cur, ante); err != nil {
 			return nil, fmt.Errorf("interp: final stage: %w", err)
 		}
 	}

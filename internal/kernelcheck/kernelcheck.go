@@ -252,10 +252,13 @@ func TraceLRATLines(f *cnf.Formula, src trace.Source) ([]drat.LRATLine, error) {
 	return lines, nil
 }
 
-// CheckLRATCore is CheckLRAT with the kernel's hint-closure unsat core
-// computed (CheckLRAT historically reports none; core extraction is wanted
-// when cross-checking cores against the out-of-core checker).
-func CheckLRATCore(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
+// CheckLRAT verifies an LRAT proof of f with the trusted kernel: a
+// deliberately small hint-following verifier (internal/kernel) that shares
+// no propagation code with the DRAT engine, so the two implementations
+// cross-check each other. The result carries the kernel's hint-closure
+// unsat core. Rejections come back as *checker.CheckError (FailHint for
+// bad hints).
+func CheckLRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
 	proof, err := drat.LoadLRAT(src)
 	if err != nil {
 		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
@@ -263,24 +266,12 @@ func CheckLRATCore(f *cnf.Formula, src drat.Source, opts checker.Options) (*chec
 	return checkLRATKernel(f, proof, opts, true)
 }
 
-// CheckLRAT verifies an LRAT proof of f with the trusted kernel: a
-// deliberately small hint-following verifier (internal/kernel) that shares
-// no propagation code with the DRAT engine, so the two implementations
-// cross-check each other. Rejections come back as *checker.CheckError
-// (FailHint for bad hints).
-func CheckLRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
-	proof, err := drat.LoadLRAT(src)
-	if err != nil {
-		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
-	}
-	return CheckLRATProof(f, proof, opts)
-}
-
 // CheckLRATProof verifies an already-parsed LRAT proof with the trusted
 // kernel (internal/kernel): the flat-array hint-following core that every
-// proof format funnels into. Verdicts and diagnostics are byte-identical
-// to the historic in-package verifier, which survives only as a test-time
-// cross-check (internal/drat/lrat_legacy.go).
+// proof format funnels into. Unlike CheckLRAT it marks no core. Verdicts
+// and diagnostics are byte-identical to the historic in-package verifier,
+// which survives only as a test-time cross-check
+// (internal/drat/lrat_legacy.go).
 func CheckLRATProof(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options) (*checker.Result, error) {
 	return checkLRATKernel(f, proof, opts, false)
 }

@@ -67,7 +67,7 @@ func testOpts(t *testing.T, budget int64) checker.Options {
 func runBoth(t *testing.T, f *cnf.Formula, proof string, budget int64) (kRes, oRes *checker.Result, kErr, oErr error) {
 	t.Helper()
 	src := drat.BytesSource(proof)
-	kRes, kErr = kernelcheck.CheckLRATCore(f, src, checker.Options{})
+	kRes, kErr = kernelcheck.CheckLRAT(f, src, checker.Options{})
 	oRes, oErr = CheckLRAT(f, src, testOpts(t, budget))
 	return
 }
@@ -304,7 +304,7 @@ func TestRATFailsClosed(t *testing.T) {
 	// candidate -x1 x2 resolves to (x2 x2), refuted via clause 1).
 	f := mkFormula(2, []int{1, 2}, []int{-1, 2}, []int{-2})
 	proof := "4 1 0 -2 1 0\n5 0 3 4 2 0\n"
-	if _, err := kernelcheck.CheckLRATCore(f, drat.BytesSource(proof), checker.Options{}); err != nil {
+	if _, err := kernelcheck.CheckLRAT(f, drat.BytesSource(proof), checker.Options{}); err != nil {
 		t.Fatalf("kernel rejected the RAT proof the test depends on: %v", err)
 	}
 	_, err := CheckLRAT(f, drat.BytesSource(proof), testOpts(t, tinyBudget))

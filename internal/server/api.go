@@ -143,8 +143,8 @@ type JobOptions struct {
 	Timeout time.Duration
 	// Analyze also computes proof-graph statistics on valid proofs.
 	Analyze bool
-	// IncludeCore returns the full core clause ID list (DF/hybrid/parallel),
-	// not just its size.
+	// IncludeCore returns the full core clause ID list of a check that
+	// produces a core, not just its size.
 	IncludeCore bool
 	// Parallelism is the parallel checker's worker count; 0 picks a server
 	// default. The server caps it at its own worker-pool size so one job
@@ -167,48 +167,25 @@ func ParseJobOptions(q url.Values) (JobOptions, error) {
 	if o.Format, err = satcheck.ParseProofFormat(q.Get("format")); err != nil {
 		return o, err
 	}
-	switch m := q.Get("method"); m {
-	case "":
+	switch m := q.Get("method"); {
+	case m == "" && o.Format == satcheck.FormatER:
 		// An unset method follows the format: ER proofs have only the
 		// bridge check, so format=er means method=bdd (keeping the
 		// per-method metric honest); everything else defaults to df.
-		if o.Format == satcheck.FormatER {
-			o.Method = satcheck.BDD
-		} else {
-			o.Method = satcheck.DepthFirst
-		}
-	case "df", "depth-first":
-		o.Method = satcheck.DepthFirst
-	case "bf", "breadth-first":
-		o.Method = satcheck.BreadthFirst
-	case "hybrid":
-		o.Method = satcheck.Hybrid
-	case "parallel":
-		o.Method = satcheck.Parallel
-	case "bdd":
-		// The BDD method checks extended-resolution proofs through the
-		// ER→LRAT bridge; an unset format follows along.
 		o.Method = satcheck.BDD
-		if q.Get("format") == "" {
+	case m == "":
+		o.Method = satcheck.DepthFirst
+	default:
+		if o.Method, err = satcheck.ParseMethod(m); err != nil {
+			return o, err
+		}
+		// method=bdd checks ER proofs; an unset format follows along.
+		if o.Method == satcheck.BDD && q.Get("format") == "" {
 			o.Format = satcheck.FormatER
 		}
-	case "kernel":
-		// The kernel method verifies through the trusted flat-array core
-		// (internal/kernel): native traces and DRAT proofs are bridged to
-		// hints and kernel-checked; LRAT and ER proofs land there anyway.
-		o.Method = satcheck.Kernel
-	case "ooc":
-		// The ooc method is the kernel run window by window out of core
-		// (internal/ooc), under the mem_budget ceiling.
-		o.Method = satcheck.OOC
-	default:
-		return o, fmt.Errorf("unknown method %q (want df, bf, hybrid, parallel, bdd, kernel, or ooc)", m)
 	}
-	if o.Method == satcheck.BDD && o.Format != satcheck.FormatER {
-		return o, fmt.Errorf("method=bdd checks extended-resolution proofs (format=er, got format=%s)", o.Format)
-	}
-	if o.Method == satcheck.OOC && o.Format == satcheck.FormatER {
-		return o, fmt.Errorf("method=ooc cannot check extended-resolution proofs (extension definitions need the full clause database)")
+	if err := satcheck.CheckablePair(o.Format, o.Method); err != nil {
+		return o, err
 	}
 	if o.MemLimitMB, err = parseInt(q, "mem_limit_mb"); err != nil {
 		return o, err
@@ -276,22 +253,7 @@ func parseBool(q url.Values, key string) (bool, error) {
 // server.
 func (o JobOptions) Query() url.Values {
 	q := url.Values{}
-	switch o.Method {
-	case satcheck.BreadthFirst:
-		q.Set("method", "bf")
-	case satcheck.Hybrid:
-		q.Set("method", "hybrid")
-	case satcheck.Parallel:
-		q.Set("method", "parallel")
-	case satcheck.BDD:
-		q.Set("method", "bdd")
-	case satcheck.Kernel:
-		q.Set("method", "kernel")
-	case satcheck.OOC:
-		q.Set("method", "ooc")
-	default:
-		q.Set("method", "df")
-	}
+	q.Set("method", o.Method.Name())
 	if o.Format != satcheck.FormatNative {
 		q.Set("format", o.Format.String())
 	}

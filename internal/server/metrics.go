@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"satcheck"
 )
 
 // Metrics is the daemon's observability surface, hand-rolled in the
@@ -39,14 +41,14 @@ type Metrics struct {
 	resolutionSteps atomic.Int64
 
 	// checksByFormat counts completed checks per proof encoding, indexed by
-	// formatLabels — the operator's view of how much clausal vs native
-	// traffic the service sees.
-	checksByFormat [len(formatLabels)]atomic.Int64
+	// satcheck.ProofFormat and labelled by its String — the operator's view
+	// of how much clausal vs native traffic the service sees.
+	checksByFormat [satcheck.FormatER + 1]atomic.Int64
 
 	// checksByMethod counts completed checks per requested method, indexed
-	// by methodLabels, so bdd-bridge traffic is distinguishable from the
-	// native traversals it shares the queue with.
-	checksByMethod [len(methodLabels)]atomic.Int64
+	// by satcheck.Method and labelled by its Name, so bdd-bridge traffic is
+	// distinguishable from the native traversals it shares the queue with.
+	checksByMethod [satcheck.OOC + 1]atomic.Int64
 
 	// certifications counts completed policy=dual certifications by
 	// outcome, indexed by certOutcomeLabels. Fail-closed means both cells
@@ -74,24 +76,16 @@ type Metrics struct {
 	peakMem valueHistogram
 }
 
-// formatLabels are the {format=...} label values of
-// zcheckd_checks_by_format_total, indexed by satcheck.ProofFormat.
-var formatLabels = [...]string{"native", "drat", "lrat", "er"}
-
-// methodLabels are the {method=...} label values of
-// zcheckd_checks_by_method_total, indexed by satcheck.Method.
-var methodLabels = [...]string{"df", "bf", "hybrid", "parallel", "bdd", "kernel", "ooc"}
-
 // ObserveFormat records one completed check's proof encoding.
-func (m *Metrics) ObserveFormat(format int) {
-	if format >= 0 && format < len(formatLabels) {
+func (m *Metrics) ObserveFormat(format satcheck.ProofFormat) {
+	if format >= 0 && int(format) < len(m.checksByFormat) {
 		m.checksByFormat[format].Add(1)
 	}
 }
 
 // ObserveMethod records one completed check's requested method.
-func (m *Metrics) ObserveMethod(method int) {
-	if method >= 0 && method < len(methodLabels) {
+func (m *Metrics) ObserveMethod(method satcheck.Method) {
+	if method >= 0 && int(method) < len(m.checksByMethod) {
 		m.checksByMethod[method].Add(1)
 	}
 }
@@ -197,12 +191,12 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("zcheckd_ooc_spilled_clauses_total", "Boundary-crossing clauses written to the out-of-core spill index.", m.oocSpilledClauses.Load())
 	counter("zcheckd_ooc_spilled_bytes_total", "Bytes written to the out-of-core spill index.", m.oocSpilledBytes.Load())
 	fmt.Fprintf(w, "# HELP zcheckd_checks_by_format_total Completed checks by proof encoding.\n# TYPE zcheckd_checks_by_format_total counter\n")
-	for i, label := range formatLabels {
-		fmt.Fprintf(w, "zcheckd_checks_by_format_total{format=%q} %d\n", label, m.checksByFormat[i].Load())
+	for i := range m.checksByFormat {
+		fmt.Fprintf(w, "zcheckd_checks_by_format_total{format=%q} %d\n", satcheck.ProofFormat(i).String(), m.checksByFormat[i].Load())
 	}
 	fmt.Fprintf(w, "# HELP zcheckd_checks_by_method_total Completed checks by requested method.\n# TYPE zcheckd_checks_by_method_total counter\n")
-	for i, label := range methodLabels {
-		fmt.Fprintf(w, "zcheckd_checks_by_method_total{method=%q} %d\n", label, m.checksByMethod[i].Load())
+	for i := range m.checksByMethod {
+		fmt.Fprintf(w, "zcheckd_checks_by_method_total{method=%q} %d\n", satcheck.Method(i).Name(), m.checksByMethod[i].Load())
 	}
 	fmt.Fprintf(w, "# HELP zcheckd_certifications_total Completed policy=dual certifications by outcome.\n# TYPE zcheckd_certifications_total counter\n")
 	for i, label := range certOutcomeLabels {

@@ -82,8 +82,8 @@ func (p *workerPool) run(j *job) {
 			rep.Result.SpilledClauses, rep.Result.SpilledBytes)
 	}
 
-	p.metrics.ObserveFormat(int(j.req.Format))
-	p.metrics.ObserveMethod(int(j.req.Method))
+	p.metrics.ObserveFormat(j.req.Format)
+	p.metrics.ObserveMethod(j.req.Method)
 	resp := responseFromReport(rep, j.opts)
 	if j.opts.MUS && rep.Valid {
 		resp.MUS = p.extractMUS(j, rep)

@@ -9,6 +9,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -658,7 +659,7 @@ func TestCheckClausalFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct, body := multipartBody(t, formula, lrat.Bytes())
-	resp, data := postCheck(t, ts, "?format=lrat&analyze=1", ct, body)
+	resp, data := postCheck(t, ts, "?format=lrat&analyze=1&core=1", ct, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("format=lrat: HTTP %d: %s", resp.StatusCode, data)
 	}
@@ -671,6 +672,10 @@ func TestCheckClausalFormats(t *testing.T) {
 	}
 	if cr.Stats == nil || cr.Stats.Depth == 0 {
 		t.Errorf("LRAT analyze returned no hint-graph stats: %s", data)
+	}
+	// The kernel's hint closure is the LRAT core; core=1 lists it.
+	if r := cr.Result; r.CoreSize == 0 || len(r.CoreClauses) != r.CoreSize || r.CoreVars == 0 {
+		t.Errorf("format=lrat&core=1 returned no core list: %s", data)
 	}
 
 	// A proof body that never derives the empty clause is a structured
@@ -717,6 +722,24 @@ func TestCheckClausalFormats(t *testing.T) {
 		}
 	}
 	_ = s
+}
+
+// TestParseJobOptionsPairs pins the checkable (format, method) pairs at
+// the query layer: ParseJobOptions refuses bdd with any format but er and
+// ooc with er, before a body is read, and accepts every other pair.
+func TestParseJobOptionsPairs(t *testing.T) {
+	for _, format := range []string{"native", "drat", "lrat", "er"} {
+		for _, method := range []string{"df", "bf", "hybrid", "parallel", "bdd", "kernel", "ooc"} {
+			refused := method == "bdd" && format != "er" || method == "ooc" && format == "er"
+			o, err := ParseJobOptions(url.Values{"format": {format}, "method": {method}})
+			if (err != nil) != refused {
+				t.Errorf("format=%s&method=%s: err = %v, want refused=%v", format, method, err, refused)
+			}
+			if err == nil && (o.Format.String() != format || o.Method.Name() != method) {
+				t.Errorf("format=%s&method=%s parsed as %s/%s", format, method, o.Format, o.Method.Name())
+			}
+		}
+	}
 }
 
 // erPayload solves one UNSAT instance with the BDD backend and returns its

@@ -158,7 +158,7 @@ func Derive(f *cnf.Formula, src trace.Source) ([]Clause, error) {
 		data.LearnedSources[i] = nil // copied into Antecedents; free it early
 	}
 
-	srcs, chain, err := finalChain(data, getClause)
+	srcs, chain, err := FinalChain(data, getClause)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +173,21 @@ func Derive(f *cnf.Formula, src trace.Source) ([]Clause, error) {
 	return out, nil
 }
 
-// finalChain replays the final stage and returns its resolution chain
-// [final conflicting clause, antecedents...] as 0-based IDs and clauses.
-func finalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]int, []cnf.Clause, error) {
-	type rec struct{ ante, pos int }
+// FinalChain replays a trace's final stage and returns its resolution chain
+// [final conflicting clause, antecedents...] as 0-based IDs and clauses:
+// the final conflicting clause resolved against the level-0 antecedents in
+// reverse chronological order. Each antecedent must hold the pivot's true
+// literal, with every other literal false and assigned strictly earlier —
+// the native checkers' antecedent rule, which also bounds the chain by the
+// number of level-0 assignments.
+func FinalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]int, []cnf.Clause, error) {
+	type rec struct {
+		ante, pos int
+		value     bool
+	}
 	recs := make(map[cnf.Var]rec, len(data.Level0))
 	for i, r := range data.Level0 {
-		recs[r.Var] = rec{ante: r.Ante, pos: i}
+		recs[r.Var] = rec{ante: r.Ante, pos: i, value: r.Value}
 	}
 	cl, err := getClause(data.FinalConflict)
 	if err != nil {
@@ -205,6 +213,18 @@ func finalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]in
 		ante, err := getClause(r.ante)
 		if err != nil {
 			return nil, nil, err
+		}
+		trueLit := cnf.NewLit(v, !r.value)
+		if !ante.Contains(trueLit) {
+			return nil, nil, fmt.Errorf("tracecheck: final stage: antecedent %d of variable %d lacks its implied literal %s", r.ante, v, trueLit)
+		}
+		for _, l := range ante {
+			if l == trueLit {
+				continue
+			}
+			if o, ok := recs[l.Var()]; !ok || o.value != l.IsNeg() || o.pos >= r.pos {
+				return nil, nil, fmt.Errorf("tracecheck: final stage: antecedent %d of variable %d has literal %s not falsified before it", r.ante, v, l)
+			}
 		}
 		next, rerr := resolve.ResolventOn(cl, ante, v)
 		if rerr != nil {

@@ -10,10 +10,13 @@ package satcheck_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"satcheck"
 	"satcheck/internal/certify/kernelpipe"
@@ -255,6 +258,82 @@ func TestKernelMalformedTraceIsRejection(t *testing.T) {
 		}
 		if ce.Kind.String() != "malformed-trace" {
 			t.Fatalf("%v rejection kind = %q, want malformed-trace", m, ce.Kind)
+		}
+	}
+}
+
+// TestFinalStageAntecedentRule pins the final stage's antecedent rule on
+// the trace that broke it: php-5 with one resolution step dropped (seed 1)
+// records a level-0 antecedent with a literal assigned later, which hybrid
+// rejects as invalid-antecedent. Replaying it unchecked looped without
+// bound, so every path that replays the final stage runs under a deadline
+// and must reject the trace.
+func TestFinalStageAntecedentRule(t *testing.T) {
+	f := gen.Pigeonhole(5).F
+	run, err := satcheck.SolveWithProof(f, satcheck.SolverOptions{})
+	if err != nil || run.Status != satcheck.StatusUnsat {
+		t.Fatalf("pigeonhole(5): %v, %v", run, err)
+	}
+	m, err := faults.ByName("drop-resolution-step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, ok := faults.Inject(m, run.Trace, 1)
+	if !ok {
+		t.Fatal("mutation not applied")
+	}
+	var ce *satcheck.CheckError
+	if _, err := satcheck.Check(f, bad, satcheck.Hybrid, satcheck.CheckOptions{}); !errors.As(err, &ce) || ce.Kind.String() != "invalid-antecedent" {
+		t.Fatalf("hybrid on the mutant: %v, want an invalid-antecedent rejection", err)
+	}
+	var text bytes.Buffer
+	if err := bad.Replay(trace.NewASCIIWriter(&text)); err != nil {
+		t.Fatal(err)
+	}
+	inA := make([]bool, f.NumClauses())
+	for i := range inA[:len(inA)/2] {
+		inA[i] = true
+	}
+	dir := t.TempDir()
+	runCheck := func(m satcheck.Method) error {
+		rep, err := satcheck.RunCheck(context.Background(), satcheck.CheckRequest{
+			Formula: f, Trace: bad, Method: m, Options: satcheck.CheckOptions{TempDir: dir}})
+		if err != nil || rep.Valid {
+			return fmt.Errorf("report %+v, err %v; want a rejection report", rep, err)
+		}
+		return nil
+	}
+	// Each check returns nil when it rejects the mutant as it should.
+	checks := []struct {
+		name  string
+		check func() error
+	}{
+		{"method=kernel", func() error { return runCheck(satcheck.Kernel) }},
+		{"method=ooc", func() error { return runCheck(satcheck.OOC) }},
+		{"kernelpipe.CheckTrace", func() error {
+			if _, err := kernelpipe.CheckTrace(f, text.Bytes(), kernelpipe.Options{}); err == nil {
+				return errors.New("accepted the mutant")
+			}
+			return nil
+		}},
+		{"Interpolate", func() error {
+			if _, err := satcheck.Interpolate(f, bad, inA); err == nil {
+				return errors.New("accepted the mutant")
+			}
+			return nil
+		}},
+	}
+	deadline := time.After(5 * time.Second)
+	for _, c := range checks {
+		done := make(chan error, 1)
+		go func() { done <- c.check() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		case <-deadline:
+			t.Fatalf("%s: final-stage replay still running after 5s", c.name)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"satcheck/internal/faults"
 	"satcheck/internal/gen"
 	"satcheck/internal/kernelcheck"
+	"satcheck/internal/ooc"
 )
 
 // oocSmallBudget runs the out-of-core LRAT check at the smallest budget in
@@ -25,7 +26,7 @@ import (
 func oocSmallBudget(t *testing.T, f *satcheck.Formula, proof []byte) (*satcheck.CheckResult, error) {
 	t.Helper()
 	for _, budget := range []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20, 64 << 20} {
-		res, err := satcheck.CheckLRATOOC(f, satcheck.ProofBytesSource(proof),
+		res, err := ooc.CheckLRAT(f, satcheck.ProofBytesSource(proof),
 			satcheck.CheckOptions{MemBudgetBytes: budget, TempDir: t.TempDir()})
 		var ce *satcheck.CheckError
 		if err != nil && errors.As(err, &ce) && ce.Kind.String() == "memory-limit" {
@@ -74,7 +75,7 @@ func TestOOCDifferentialSuite(t *testing.T) {
 			if _, err := satcheck.TraceToLRAT(ins.F, mt, &lrat, satcheck.CheckOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			kres, err := satcheck.CheckLRATCore(ins.F, satcheck.ProofBytesSource(lrat.Bytes()), satcheck.CheckOptions{})
+			kres, err := satcheck.CheckLRAT(ins.F, satcheck.ProofBytesSource(lrat.Bytes()), satcheck.CheckOptions{})
 			if err != nil {
 				t.Fatalf("kernel rejected the bridged LRAT proof: %v", err)
 			}
@@ -156,7 +157,7 @@ func TestOOCRejectsLRATFaults(t *testing.T) {
 			if err := drat.WriteLines(&rewritten, mut.Lines); err != nil {
 				t.Fatal(err)
 			}
-			_, oerr := satcheck.CheckLRATOOC(f, satcheck.ProofBytesSource(rewritten.Bytes()),
+			_, oerr := ooc.CheckLRAT(f, satcheck.ProofBytesSource(rewritten.Bytes()),
 				satcheck.CheckOptions{MemBudgetBytes: 256 << 10, TempDir: t.TempDir()})
 			if kerr != nil && oerr == nil {
 				t.Fatalf("kernel rejects %s mutant (%v) but ooc accepts it", m.Name, kerr)

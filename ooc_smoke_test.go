@@ -9,6 +9,7 @@ import (
 
 	"satcheck"
 	"satcheck/internal/gen"
+	"satcheck/internal/ooc"
 )
 
 // TestOOCSmokeMemoryLimit is the out-of-core acceptance smoke (make
@@ -63,7 +64,7 @@ func TestOOCSmokeMemoryLimit(t *testing.T) {
 	prev := debug.SetMemoryLimit(heapLimit)
 	defer debug.SetMemoryLimit(prev)
 
-	res, err := satcheck.CheckLRATOOC(f, satcheck.ProofFileSource(lratPath),
+	res, err := ooc.CheckLRAT(f, satcheck.ProofFileSource(lratPath),
 		satcheck.CheckOptions{MemBudgetBytes: budget, TempDir: dir})
 	if err != nil {
 		t.Fatalf("ooc check under %d MiB heap limit: %v", heapLimit>>20, err)

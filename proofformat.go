@@ -88,61 +88,35 @@ func NewDRATWriter(w io.Writer) *DRATWriter { return drat.NewWriter(w) }
 // NewBinaryDRATWriter returns a binary-encoded DRAT proof writer.
 func NewBinaryDRATWriter(w io.Writer) *DRATWriter { return drat.NewBinaryWriter(w) }
 
-// dratMode maps a checker Method onto a clausal checking mode. BreadthFirst
-// is the streaming, no-core strategy in both worlds, so it selects forward
-// checking; the core-producing strategies (DepthFirst, Hybrid, Parallel)
-// select backward checking, whose marked originals are an unsatisfiable
-// core exactly like the native checkers'.
-func dratMode(m Method) (drat.Mode, error) {
+// CheckDRAT validates a DRUP/DRAT proof that f is unsatisfiable. The method
+// selects the check: BreadthFirst is the streaming, no-core strategy in both
+// worlds, so it checks forward; the core-producing DepthFirst, Hybrid, and
+// Parallel check backward, whose marked originals are an unsatisfiable core
+// exactly like the native checkers'. Kernel forward-checks, records the
+// propagation hints, and verifies them in the trusted kernel, whose hint
+// closure is the returned core; OOC does the same out of core. Like Check,
+// a nil error proves the claim and a *CheckError describes the first
+// invalid step.
+func CheckDRAT(f *Formula, src ProofSource, m Method, opts CheckOptions) (*CheckResult, error) {
 	switch m {
 	case BreadthFirst:
-		return drat.Forward, nil
+		return drat.Check(f, src, drat.Forward, opts)
 	case DepthFirst, Hybrid, Parallel:
-		return drat.Backward, nil
-	default:
-		return drat.Forward, fmt.Errorf("satcheck: unknown check method %d", int(m))
-	}
-}
-
-// CheckDRAT validates a DRUP/DRAT proof that f is unsatisfiable. The method
-// selects the checking direction (see dratMode); like Check, a nil error
-// proves the claim and a *CheckError describes the first invalid step.
-func CheckDRAT(f *Formula, src ProofSource, m Method, opts CheckOptions) (*CheckResult, error) {
-	if m == Kernel {
-		// Forward-check the clausal proof, record the propagation hints, and
-		// verify them in the trusted kernel; the kernel's hint closure is the
-		// returned core.
+		return drat.Check(f, src, drat.Backward, opts)
+	case Kernel:
 		return kernelcheck.KernelCheckDRAT(f, src, opts)
-	}
-	if m == OOC {
+	case OOC:
 		return ooc.CheckDRAT(f, src, opts)
 	}
-	mode, err := dratMode(m)
-	if err != nil {
-		return nil, err
-	}
-	return drat.Check(f, src, mode, opts)
+	return nil, fmt.Errorf("satcheck: unknown check method %d", int(m))
 }
 
-// CheckLRAT validates an LRAT proof by following its hints — no propagation
-// search, making it the cheapest and most independent check in the package.
+// CheckLRAT validates an LRAT proof in the trusted kernel by following its
+// hints — no propagation search, making it the cheapest and most
+// independent check in the package. The result carries the kernel's
+// hint-closure unsat core.
 func CheckLRAT(f *Formula, src ProofSource, opts CheckOptions) (*CheckResult, error) {
 	return kernelcheck.CheckLRAT(f, src, opts)
-}
-
-// CheckLRATCore is CheckLRAT with the kernel's hint-closure unsat core in
-// the result (CheckLRAT reports none, for historical compatibility).
-func CheckLRATCore(f *Formula, src ProofSource, opts CheckOptions) (*CheckResult, error) {
-	return kernelcheck.CheckLRATCore(f, src, opts)
-}
-
-// CheckLRATOOC validates an LRAT proof out of core: the proof is mmap'd
-// (or spooled) and checked in windows sized to CheckOptions.MemBudgetBytes
-// by the trusted kernel, with boundary-crossing clauses spilled to disk.
-// Verdicts and cores match CheckLRATCore on everything it accepts; RAT
-// lemmas are rejected fail-closed (the out-of-core checker is RUP-only).
-func CheckLRATOOC(f *Formula, src ProofSource, opts CheckOptions) (*CheckResult, error) {
-	return ooc.CheckLRAT(f, src, opts)
 }
 
 // DRATToLRAT forward-checks a DRAT proof and writes the accepted derivation

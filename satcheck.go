@@ -31,6 +31,7 @@ package satcheck
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"satcheck/internal/checker"
 	"satcheck/internal/cnf"
@@ -232,6 +233,31 @@ func (m Method) String() string {
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
+}
+
+// methodNames is the one table of short method names, indexed by Method:
+// ParseMethod reads it, and Name hands it to zcheckd's query strings and
+// per-method metric labels.
+var methodNames = [...]string{"df", "bf", "hybrid", "parallel", "bdd", "kernel", "ooc"}
+
+// Name returns the method's short name as ParseMethod accepts it, or "" for
+// an unknown method.
+func (m Method) Name() string {
+	if m < 0 || int(m) >= len(methodNames) {
+		return ""
+	}
+	return methodNames[m]
+}
+
+// ParseMethod parses a method's short name (df, bf, hybrid, parallel, bdd,
+// kernel, ooc) or its String form (depth-first, breadth-first, ...).
+func ParseMethod(s string) (Method, error) {
+	for i, name := range methodNames {
+		if m := Method(i); s == name || s == m.String() {
+			return m, nil
+		}
+	}
+	return DepthFirst, fmt.Errorf("satcheck: unknown method %q (want %s)", s, strings.Join(methodNames[:], ", "))
 }
 
 // Check validates an UNSAT trace against the original formula. A nil error
