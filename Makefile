@@ -65,7 +65,8 @@ bench-bdd:
 
 # Record the trusted-kernel ablation as BENCH_kernel.json: the hybrid
 # checker vs the kernel's steady-state LRAT check on the Table 2 families
-# (the headline geomean speedup), the end-to-end kernel method, the
+# (the headline geomean speedup), the end-to-end kernel method, the LRAT
+# check from the proof file's bytes (BenchmarkTable2KernelLRATFile), the
 # kernel-vs-legacy LRAT verifier comparison, and the kernel package's
 # zero-allocation micro-benchmark. See EXPERIMENTS.md (Ablation G).
 bench-kernel:
@@ -121,7 +122,7 @@ certify-smoke:
 # a 2M-lemma proof verified at a 64MiB window budget with the Go runtime's
 # memory limit pinned to 256MiB in-process (debug.SetMemoryLimit); and the
 # CLI end to end — zgen -proof-stress writes a proof whose in-memory kernel
-# image peaks around 1.4 GiB RSS, zverify checks it in memory and out of
+# image peaks around 565 MiB RSS, zverify checks it in memory and out of
 # core under GOMEMLIMIT=256MiB, and the verdict + unsat-core output must be
 # byte-identical. CI runs this as its own job.
 ooc-smoke:
@@ -185,6 +186,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseVerify -fuzztime 30s ./internal/tracecheck/
 	$(GO) test -run xxx -fuzz FuzzDRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATParse -fuzztime 30s ./internal/drat/
+	$(GO) test -run xxx -fuzz FuzzLRATScan -fuzztime 30s ./internal/kernelcheck/
 	$(GO) test -run xxx -fuzz FuzzERLRATBridge -fuzztime 30s ./internal/bdd/
 
 # Adversarial conformance campaign (differential fuzz + mutation escapes);

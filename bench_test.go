@@ -19,6 +19,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"satcheck"
@@ -205,6 +207,41 @@ func BenchmarkTable2KernelLRAT(b *testing.B) {
 			var res *satcheck.CheckResult
 			for i := 0; i < b.N; i++ {
 				res, err = kernelcheck.CheckLRATProof(ins.F, proof, satcheck.CheckOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.PeakMemWords)*4/1024, "peakKB")
+		})
+	}
+}
+
+// BenchmarkTable2KernelLRATFile measures the LRAT check a user makes: each
+// iteration goes from the proof file's bytes to a verdict through
+// satcheck.CheckLRAT (read, scan into the kernel's flat arrays, kernel,
+// core). Against BenchmarkTable2KernelLRAT, which checks a proof parsed
+// beforehand, the difference is the front end's cost; ReportAllocs shows
+// that the scan allocates per check, not per proof line.
+func BenchmarkTable2KernelLRATFile(b *testing.B) {
+	for _, ins := range benchInstances() {
+		ins := ins
+		b.Run(ins.Name, func(b *testing.B) {
+			mt, _ := tracedInstance(b, ins)
+			var buf bytes.Buffer
+			if _, err := satcheck.TraceToLRAT(ins.F, mt, &buf, satcheck.CheckOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "proof.lrat")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				b.Fatal(err)
+			}
+			src := satcheck.ProofFileSource(path)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res *satcheck.CheckResult
+			var err error
+			for i := 0; i < b.N; i++ {
+				res, err = satcheck.CheckLRAT(ins.F, src, satcheck.CheckOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

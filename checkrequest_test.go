@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -77,25 +79,40 @@ func TestRunCheckRejectionIsReport(t *testing.T) {
 }
 
 // TestRunCheckHonorsContext verifies cancellation aborts the job with the
-// context's error, both when already-expired and mid-run.
+// context's error, both when already-expired and mid-run. The LRAT proof
+// is a file, which the kernel reads without going through the context's
+// reader, so only the checker's Interrupt polling can see the context.
 func TestRunCheckHonorsContext(t *testing.T) {
 	f, mt := solveUnsatReq(t, 6)
+	var lrat bytes.Buffer
+	if _, err := satcheck.TraceToLRAT(f, mt, &lrat, satcheck.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	lratPath := filepath.Join(t.TempDir(), "php6.lrat")
+	if err := os.WriteFile(lratPath, lrat.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []satcheck.CheckRequest{
+		{Formula: f, Trace: mt, Method: satcheck.DepthFirst},
+		{Formula: f, Trace: mt, Method: satcheck.BreadthFirst, Analyze: true},
+	}
+	for _, m := range []satcheck.Method{satcheck.Kernel, satcheck.OOC} {
+		reqs = append(reqs, satcheck.CheckRequest{Formula: f, Format: satcheck.FormatLRAT, Method: m,
+			Proof: satcheck.ProofFileSource(lratPath), Options: satcheck.CheckOptions{TempDir: t.TempDir()}})
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := satcheck.RunCheck(ctx, satcheck.CheckRequest{
-		Formula: f, Trace: mt, Method: satcheck.DepthFirst,
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled ctx: err = %v, want context.Canceled", err)
-	}
-
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer dcancel()
 	time.Sleep(time.Millisecond)
-	if _, err := satcheck.RunCheck(dctx, satcheck.CheckRequest{
-		Formula: f, Trace: mt, Method: satcheck.BreadthFirst, Analyze: true,
-	}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
+	for _, req := range reqs {
+		if _, err := satcheck.RunCheck(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s/%v pre-cancelled ctx: err = %v, want context.Canceled", req.Format, req.Method, err)
+		}
+		if _, err := satcheck.RunCheck(dctx, req); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s/%v expired deadline: err = %v, want context.DeadlineExceeded", req.Format, req.Method, err)
+		}
 	}
 }
 

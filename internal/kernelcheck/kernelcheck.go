@@ -1,10 +1,11 @@
 // Package kernelcheck is the bridge between the untrusted annotators and
 // the trusted kernel (internal/kernel). Every proof format terminates here:
-// parsed LRAT goes straight in, native traces carry their own hints (each
-// learned clause's resolve sources, ordered by tracecheck.Derive), and
-// DRAT proofs are first annotated by the forward engine (hint recording,
-// internal/drat); the kernel re-verifies every hint, so the only code path
-// that can report "verified" is kernel.Check.
+// LRAT bytes are scanned straight into the kernel's flat arrays (Scanner),
+// native traces carry their own hints (each learned clause's resolve
+// sources, ordered by tracecheck.Derive), and DRAT proofs are first
+// annotated by the forward engine (hint recording, internal/drat); the
+// kernel re-verifies every hint, so the only code path that can report
+// "verified" is kernel.Check.
 //
 // This package deliberately lives outside internal/drat: the certification
 // pipeline (internal/certify) requires that the watched-literal DRAT engine
@@ -14,6 +15,7 @@ package kernelcheck
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -50,6 +52,11 @@ func checkLRATKernel(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options
 	if err := kr.flatten(f, proof); err != nil {
 		return nil, err
 	}
+	return kr.check(opts, wantCore)
+}
+
+// check runs the trusted kernel over kr's flat formula and proof.
+func (kr *kernelRun) check(opts checker.Options, wantCore bool) (*checker.Result, error) {
 	kres, err := kr.ck.Check(&kr.kf, &kr.kp, kernel.Options{
 		MemLimitWords: opts.MemLimitWords,
 		Interrupt:     opts.Interrupt,
@@ -75,13 +82,12 @@ func checkLRATKernel(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options
 	return res, nil
 }
 
-// flatten translates the formula and proof into the kernel's flat int32
-// form, reusing kr's buffers. Original clauses are normalized (the
-// verifier contract since PR 3); proof lits are taken verbatim. cnf.Lit's
-// encoding (var<<1 | neg) is already the kernel's, so literals copy
-// directly.
-func (kr *kernelRun) flatten(f *cnf.Formula, proof *drat.LRATProof) error {
-	kf, kp := &kr.kf, &kr.kp
+// flattenFormula translates f into the kernel's flat int32 form, reusing
+// kr's buffers, and returns its widest variable. Original clauses are
+// normalized (the verifier contract since PR 3). cnf.Lit's encoding
+// (var<<1 | neg) is already the kernel's, so literals copy directly.
+func (kr *kernelRun) flattenFormula(f *cnf.Formula) int {
+	kf := &kr.kf
 	kf.Lits = kf.Lits[:0]
 	kf.Off = append(kf.Off[:0], 0)
 	maxVar := f.NumVars
@@ -96,11 +102,65 @@ func (kr *kernelRun) flatten(f *cnf.Formula, proof *drat.LRATProof) error {
 		}
 		kf.Off = append(kf.Off, int32(len(kf.Lits)))
 	}
+	return maxVar
+}
+
+func (kr *kernelRun) resetProof() {
+	kp := &kr.kp
 	kp.Ops = kp.Ops[:0]
 	kp.Lits = kp.Lits[:0]
 	kp.Hints = kp.Hints[:0]
 	kp.Dels = kp.Dels[:0]
 	kp.NumAdds = 0
+	kp.MaxVar = 0
+}
+
+// setVarRange applies the kernel's 31-bit literal guard to the formula's
+// and the proof's widest variables and records them.
+func (kr *kernelRun) setVarRange(maxVar, pMaxVar int) error {
+	if maxVar > (math.MaxInt32-2)/2 || pMaxVar > (math.MaxInt32-2)/2 {
+		return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep,
+			Detail: "variable range exceeds the kernel's 31-bit literal space"}
+	}
+	kr.kf.NumVars = int32(maxVar)
+	kr.kp.MaxVar = int32(pMaxVar)
+	return nil
+}
+
+// scan fills kr with f and the LRAT text in data, polling interrupt before
+// the first proof line and every 4096 lines after. Parse errors come
+// first, then the first 31-bit range error, then the literal guard: the
+// order of drat.ParseLRAT and flatten.
+func (kr *kernelRun) scan(f *cnf.Formula, data []byte, interrupt func() error) error {
+	maxVar := kr.flattenFormula(f)
+	kr.resetProof()
+	s := NewScanner(data, 0)
+	for n := 0; ; n++ {
+		if n%4096 == 0 && interrupt != nil {
+			if err := interrupt(); err != nil {
+				return err
+			}
+		}
+		err := s.ScanOp(&kr.kp)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
+		}
+	}
+	if err := s.RangeErr(); err != nil {
+		return err
+	}
+	return kr.setVarRange(maxVar, int(kr.kp.MaxVar))
+}
+
+// flatten fills kr with f and the already-parsed lines of proof, copying
+// proof lits verbatim.
+func (kr *kernelRun) flatten(f *cnf.Formula, proof *drat.LRATProof) error {
+	maxVar := kr.flattenFormula(f)
+	kr.resetProof()
+	kp := &kr.kp
 	pMaxVar := 0
 	for li := range proof.Lines {
 		ln := &proof.Lines[li]
@@ -139,13 +199,7 @@ func (kr *kernelRun) flatten(f *cnf.Formula, proof *drat.LRATProof) error {
 		kp.Ops = append(kp.Ops, op)
 		kp.NumAdds++
 	}
-	if maxVar > (math.MaxInt32-2)/2 || pMaxVar > (math.MaxInt32-2)/2 {
-		return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep,
-			Detail: "variable range exceeds the kernel's 31-bit literal space"}
-	}
-	kf.NumVars = int32(maxVar)
-	kp.MaxVar = int32(pMaxVar)
-	return nil
+	return kr.setVarRange(maxVar, pMaxVar)
 }
 
 // kernelID narrows a clause ID to the kernel's int32 ID space. The LRAT
@@ -258,12 +312,22 @@ func TraceLRATLines(f *cnf.Formula, src trace.Source) ([]drat.LRATLine, error) {
 // cross-check each other. The result carries the kernel's hint-closure
 // unsat core. Rejections come back as *checker.CheckError (FailHint for
 // bad hints).
+//
+// The proof's bytes are read once (readLRAT) and tokenized by Scanner
+// straight into the pooled flat arrays the kernel reads, so no parsed
+// line is ever built; verdicts and diagnostics equal those of
+// drat.ParseLRAT followed by CheckLRATProof.
 func CheckLRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
-	proof, err := drat.LoadLRAT(src)
+	data, err := readLRAT(src)
 	if err != nil {
 		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
 	}
-	return checkLRATKernel(f, proof, opts, true)
+	kr := kernelRuns.Get().(*kernelRun)
+	defer kernelRuns.Put(kr)
+	if err := kr.scan(f, data, opts.Interrupt); err != nil {
+		return nil, err
+	}
+	return kr.check(opts, true)
 }
 
 // CheckLRATProof verifies an already-parsed LRAT proof with the trusted

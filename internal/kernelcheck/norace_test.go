@@ -1,0 +1,5 @@
+//go:build !race
+
+package kernelcheck
+
+const raceEnabled = false

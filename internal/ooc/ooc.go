@@ -191,8 +191,8 @@ type run struct {
 	kp    kernel.Proof
 
 	// Scratch, reused across windows.
-	buf     opBuf
-	scratch opBuf
+	buf     kernel.Proof
+	scratch kernel.Proof
 	refs    []int32
 	spl     []int32
 
@@ -255,21 +255,41 @@ func (r *run) poll() error {
 	return r.opts.Interrupt()
 }
 
+// resetOps empties b's slabs for the next line or window. The counters
+// ScanOp keeps (NumAdds, MaxVar) run on, so after validate's pass they
+// cover the whole proof.
+func resetOps(b *kernel.Proof) {
+	b.Ops = b.Ops[:0]
+	b.Lits = b.Lits[:0]
+	b.Hints = b.Hints[:0]
+	b.Dels = b.Dels[:0]
+}
+
+// opWords is the flat parse size of b's ops in 4-byte words, including a
+// fixed per-op overhead for the op records and ID maps.
+func opWords(b *kernel.Proof) int64 {
+	return int64(len(b.Lits)) + int64(len(b.Hints)) + int64(len(b.Dels)) + opOverheadWords*int64(len(b.Ops))
+}
+
+// opOverheadWords approximates the per-line bookkeeping (the parsed op, its
+// window-local kernel.Op, ID maps) in the deterministic memory model.
+const opOverheadWords = 16
+
 func parseReject(err error) error {
 	return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
 }
 
 // validate is pass A part 1: a full streaming parse that rejects malformed
 // proofs up front (the in-memory path parses before checking, so a syntax
-// error anywhere in the file rejects the proof there too) and gathers the
-// sizes the budget arithmetic needs.
+// error anywhere in the file rejects the proof there too, ahead of any
+// 31-bit range error) and gathers the sizes the budget arithmetic needs.
 func (r *run) validate() error {
-	s := newScanner(r.data, 0)
+	s := kernelcheck.NewScanner(r.data, 0)
 	maxAddID := r.nOrig
 	n := 0
 	for {
-		r.scratch.reset()
-		err := s.scanOp(&r.scratch)
+		resetOps(&r.scratch)
+		err := s.ScanOp(&r.scratch)
 		if err == io.EOF {
 			break
 		}
@@ -281,21 +301,15 @@ func (r *run) validate() error {
 				return err
 			}
 		}
-		op := &r.scratch.ops[0]
-		if op.del {
-			continue
-		}
-		r.nAdds++
-		if op.id > maxAddID {
-			maxAddID = op.id
-		}
-		for _, l := range r.scratch.lits {
-			if v := l >> 1; v > r.pMaxVar {
-				r.pMaxVar = v
-			}
+		if op := &r.scratch.Ops[0]; !op.Del && op.ID > maxAddID {
+			maxAddID = op.ID
 		}
 	}
+	if err := s.RangeErr(); err != nil {
+		return err
+	}
 	r.maxAddID = maxAddID
+	r.nAdds, r.pMaxVar = r.scratch.NumAdds, r.scratch.MaxVar
 	if r.fMaxVar > (math.MaxInt32-2)/2 || int(r.pMaxVar) > (math.MaxInt32-2)/2 {
 		return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep,
 			Detail: "variable range exceeds the kernel's 31-bit literal space"}
@@ -353,14 +367,14 @@ func (r *run) budgetPlan() error {
 // proof into windows at the word cap and records, per clause ID, the last
 // window that references it (hint or deletion) — the spill criterion.
 func (r *run) planWindows() error {
-	s := newScanner(r.data, 0)
+	s := kernelcheck.NewScanner(r.data, 0)
 	var w window
 	var words int64
 	n := 0
 	for {
-		off := s.offset()
-		r.scratch.reset()
-		err := s.scanOp(&r.scratch)
+		off := s.Offset()
+		resetOps(&r.scratch)
+		err := s.ScanOp(&r.scratch)
 		if err == io.EOF {
 			break
 		}
@@ -372,7 +386,7 @@ func (r *run) planWindows() error {
 				return err
 			}
 		}
-		opW := r.scratch.words()
+		opW := opWords(&r.scratch)
 		if w.ops > 0 && words+opW > r.capWords {
 			r.windows = append(r.windows, w)
 			w = window{start: off}
@@ -381,16 +395,16 @@ func (r *run) planWindows() error {
 		w.ops++
 		words += opW
 		wi := int32(len(r.windows))
-		op := &r.scratch.ops[0]
-		if op.del {
-			for _, d := range r.scratch.dels {
+		op := &r.scratch.Ops[0]
+		if op.Del {
+			for _, d := range r.scratch.Dels {
 				if d < r.idSpace {
 					r.lastRef[d] = wi
 				}
 			}
 			continue
 		}
-		for _, h := range r.scratch.hints {
+		for _, h := range r.scratch.Hints {
 			if h < 0 {
 				h = -h
 			}
@@ -428,10 +442,10 @@ func (r *run) checkWindows() (*checker.Result, error) {
 // parseWindow re-reads window wi's lines from the mapped proof into r.buf.
 func (r *run) parseWindow(wi int) error {
 	w := r.windows[wi]
-	r.buf.reset()
-	s := newScanner(r.data, w.start)
+	resetOps(&r.buf)
+	s := kernelcheck.NewScanner(r.data, w.start)
 	for i := 0; i < w.ops; i++ {
-		if err := s.scanOp(&r.buf); err != nil {
+		if err := s.ScanOp(&r.buf); err != nil {
 			return fmt.Errorf("ooc: internal: window %d re-parse diverged: %w", wi, err)
 		}
 	}
@@ -445,7 +459,7 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	if err := r.parseWindow(wi); err != nil {
 		return nil, false, err
 	}
-	ops := r.buf.ops
+	ops := r.buf.Ops
 
 	// The global ID-order invariant is checked here, against the last add
 	// of the previous windows; lines from the first violation on are
@@ -457,16 +471,16 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	prev := *lastID
 	for i := range ops {
 		op := &ops[i]
-		if op.del {
+		if op.Del {
 			continue
 		}
-		if op.id <= prev {
+		if op.ID <= prev {
 			stop = i
-			stopErr = &checker.CheckError{Kind: checker.FailTrace, ClauseID: int(op.id), Step: noStep,
+			stopErr = &checker.CheckError{Kind: checker.FailTrace, ClauseID: int(op.ID), Step: noStep,
 				Detail: fmt.Sprintf("clause IDs must increase (previous %d)", prev)}
 			break
 		}
-		prev = op.id
+		prev = op.ID
 	}
 
 	// Collect the window's referenced IDs (hints, RAT candidates, deletion
@@ -476,15 +490,15 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	r.curPoison = r.curPoison[:0]
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
-		if op.del {
-			r.refs = append(r.refs, r.buf.dels[op.delOff:op.delOff+op.delN]...)
+		if op.Del {
+			r.refs = append(r.refs, r.buf.Dels[op.DelOff:op.DelOff+op.DelN]...)
 			continue
 		}
-		r.curWinAdds = append(r.curWinAdds, op.id)
-		if op.litN > 0 {
-			r.curPoison = append(r.curPoison, r.buf.lits[op.litOff]^1)
+		r.curWinAdds = append(r.curWinAdds, op.ID)
+		if op.LitN > 0 {
+			r.curPoison = append(r.curPoison, r.buf.Lits[op.LitOff]^1)
 		}
-		for _, h := range r.buf.hints[op.hintOff : op.hintOff+op.hintN] {
+		for _, h := range r.buf.Hints[op.HintOff : op.HintOff+op.HintN] {
 			if h < 0 {
 				h = -h
 			}
@@ -565,19 +579,19 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	na := int32(0)
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
-		if op.del {
+		if op.Del {
 			kop := kernel.Op{ID: r.curDelBase + int32(len(r.curDelLines)), Del: true, DelOff: int32(len(kp.Dels))}
-			for _, d := range r.buf.dels[op.delOff : op.delOff+op.delN] {
+			for _, d := range r.buf.Dels[op.DelOff : op.DelOff+op.DelN] {
 				kp.Dels = append(kp.Dels, r.mapRef(d))
 			}
 			kop.DelN = int32(len(kp.Dels)) - kop.DelOff
 			kp.Ops = append(kp.Ops, kop)
-			r.curDelLines = append(r.curDelLines, op.id)
+			r.curDelLines = append(r.curDelLines, op.ID)
 			continue
 		}
 		kop := kernel.Op{ID: r.curLocal + 1 + na, LitOff: int32(len(kp.Lits)), HintOff: int32(len(kp.Hints))}
-		kp.Lits = append(kp.Lits, r.buf.lits[op.litOff:op.litOff+op.litN]...)
-		for _, h := range r.buf.hints[op.hintOff : op.hintOff+op.hintN] {
+		kp.Lits = append(kp.Lits, r.buf.Lits[op.LitOff:op.LitOff+op.LitN]...)
+		for _, h := range r.buf.Hints[op.HintOff : op.HintOff+op.HintN] {
 			neg := h < 0
 			if neg {
 				h = -h
@@ -599,7 +613,7 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	r.statSteps += r.ck.Steps()
 	r.statWindows++
 
-	winWords := r.buf.words() + int64(len(kf.Lits)) + 2*int64(len(kf.Off)) + r.ck.PeakMemWords()
+	winWords := opWords(&r.buf) + int64(len(kf.Lits)) + 2*int64(len(kf.Off)) + r.ck.PeakMemWords()
 	if total := r.residentWords + winWords; total > r.peakWords {
 		r.peakWords = total
 	}
@@ -623,7 +637,7 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 		finalIdx := -1
 		adds := 0
 		for i := 0; i < stop; i++ {
-			if !ops[i].del {
+			if !ops[i].Del {
 				if adds++; adds == kres.Built {
 					finalIdx = i
 					break
@@ -736,30 +750,30 @@ func spillReject(err error) error {
 // additions and deletions onto the liveness map, then spill every addition
 // that is still live and referenced by a later window.
 func (r *run) retire(wi, stop int, lastID *int32) error {
-	ops := r.buf.ops
+	ops := r.buf.Ops
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
-		if op.del {
-			for _, d := range r.buf.dels[op.delOff : op.delOff+op.delN] {
+		if op.Del {
+			for _, d := range r.buf.Dels[op.DelOff : op.DelOff+op.DelN] {
 				if d < r.idSpace {
 					r.status[d] = stDead
 				}
 			}
 			continue
 		}
-		r.status[op.id] = stLive
-		*lastID = op.id
+		r.status[op.ID] = stLive
+		*lastID = op.ID
 	}
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
-		if op.del || r.status[op.id] != stLive || r.lastRef[op.id] <= int32(wi) {
+		if op.Del || r.status[op.ID] != stLive || r.lastRef[op.ID] <= int32(wi) {
 			continue
 		}
-		ref, err := r.spill.put(op.id, r.buf.lits[op.litOff:op.litOff+op.litN])
+		ref, err := r.spill.put(op.ID, r.buf.Lits[op.LitOff:op.LitOff+op.LitN])
 		if err != nil {
 			return err
 		}
-		r.spillRef[op.id] = ref + 1
+		r.spillRef[op.ID] = ref + 1
 	}
 	return r.spill.seal()
 }
@@ -780,8 +794,8 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 	isMarked := func(id int32) bool {
 		return id > 0 && id < r.idSpace && marked[id>>6]&(1<<(uint(id)&63)) != 0
 	}
-	markHints := func(op *opRef) {
-		for _, h := range r.buf.hints[op.hintOff : op.hintOff+op.hintN] {
+	markHints := func(op *kernel.Op) {
+		for _, h := range r.buf.Hints[op.HintOff : op.HintOff+op.HintN] {
 			if h < 0 {
 				h = -h
 			}
@@ -789,17 +803,17 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		}
 	}
 	walk := func(from int) {
-		ops := r.buf.ops
+		ops := r.buf.Ops
 		for i := from; i >= 0; i-- {
 			op := &ops[i]
-			if op.del || !isMarked(op.id) {
+			if op.Del || !isMarked(op.ID) {
 				continue
 			}
 			markHints(op)
 		}
 	}
 	// r.buf still holds the final window.
-	markHints(&r.buf.ops[finalIdx])
+	markHints(&r.buf.Ops[finalIdx])
 	walk(finalIdx - 1)
 	for w := finalWin - 1; w >= 0; w-- {
 		if err := r.poll(); err != nil {
@@ -808,7 +822,7 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		if err := r.parseWindow(w); err != nil {
 			return nil, 0, err
 		}
-		walk(len(r.buf.ops) - 1)
+		walk(len(r.buf.Ops) - 1)
 	}
 	core := make([]int, 0, 16)
 	seen := make([]bool, r.numVars+1)

@@ -365,3 +365,42 @@ func TestBadHintsMatchKernel(t *testing.T) {
 		})
 	}
 }
+
+// TestMalformedMatchesKernel: a proof the tokenizer rejects, or one with
+// a value beyond the kernel's 31 bits, gets the in-memory kernel's exact
+// diagnostic out of core. Both share one scanner that reports a range
+// error only after the whole file has parsed, so a syntax error on a
+// later line wins over an out-of-range ID on an earlier one.
+func TestMalformedMatchesKernel(t *testing.T) {
+	f := mkFormula(1, []int{1}, []int{-1})
+	cases := map[string]string{
+		"hint-range-then-bad-byte":      "3 0 1 3000000000 0\n4 x\n",
+		"id-range-then-bad-byte":        "3000000000 0 1 2 0\n4 x\n",
+		"deletion-range-then-truncated": "3 d 3000000000 0\n4 0 1",
+		"first-range-error-wins":        "3 d 2200000000 0\n4 0 1 -3000000000 0\n",
+		"hint-range":                    "3 0 1 3000000000 0\n",
+		"id-range":                      "3000000000 0 1 2 0\n",
+		"d-for-clause-id":               "d 1 0\n",
+		"bad-clause-id":                 "0 1 0\n",
+		"truncated-line":                "3",
+		"truncated-clause":              "3 1",
+		"truncated-hints":               "3 0 1",
+		"truncated-deletion":            "3 d 1",
+		"d-inside-clause":               "3 1 d 0 1 0\n",
+		"d-inside-hints":                "3 0 1 d 0\n",
+		"d-inside-deletion":             "3 d 1 d 0\n",
+		"negative-deletion":             "3 d -1 0\n",
+		"variable-range":                "3 268435457 0 1 0\n",
+		"dash-without-digits":           "3 - 0 1 0\n",
+		"unexpected-byte":               "3 0 1 x 0\n",
+	}
+	for name, proof := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, _, kErr, oErr := runBoth(t, f, proof, tinyBudget)
+			wantSameVerdict(t, kErr, oErr)
+			if oErr == nil {
+				t.Fatal("malformed proof accepted")
+			}
+		})
+	}
+}

@@ -156,9 +156,9 @@ type ctxProofSource struct {
 type ctxDoner interface{ Err() error }
 
 // ProofPath exposes the underlying file path when the wrapped source is
-// file-backed, letting the out-of-core checker mmap it directly (the
-// context is still honored: the ooc checker polls Interrupt, which RunCheck
-// wires to the same context).
+// file-backed, letting the out-of-core checker mmap it and the kernel's
+// LRAT check read it with one os.ReadFile (the context is still honored:
+// both poll Interrupt, which RunCheck wires to the same context).
 func (c ctxProofSource) ProofPath() string {
 	if fs, ok := c.src.(drat.FileSource); ok {
 		return string(fs)
