@@ -184,6 +184,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReaderAuto -fuzztime 30s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzTraceParse -fuzztime 30s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzParseVerify -fuzztime 30s ./internal/tracecheck/
+	$(GO) test -run xxx -fuzz FuzzDerive -fuzztime 30s ./internal/tracecheck/
 	$(GO) test -run xxx -fuzz FuzzDRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATScan -fuzztime 30s ./internal/kernelcheck/

@@ -26,7 +26,7 @@ import (
 
 // Version names this pipeline implementation inside signed verdict
 // bundles. Bump on any change to the verification semantics.
-const Version = "kernelpipe/2 trusted-kernel LRAT (flat-array hint follower)"
+const Version = "kernelpipe/3 trusted-kernel LRAT (flat-array hint follower)"
 
 // Options bounds one pipeline run.
 type Options struct {
@@ -67,16 +67,26 @@ func CheckLRAT(f *cnf.Formula, lrat []byte, opts Options) (*Result, error) {
 
 // CheckTrace verifies a native resolution trace of f: tracecheck.Derive
 // validates every resolution chain and orders each chain's antecedents
-// for replay, and the kernel re-verifies those hints, so the ordering
+// for replay, appending each clause to the kernel proof as it goes
+// (addChain), and the kernel re-verifies those hints, so the ordering
 // needs no trust.
 func CheckTrace(f *cnf.Formula, traceBytes []byte, opts Options) (*Result, error) {
-	clauses, err := tracecheck.Derive(f, bytesTraceSource(traceBytes))
+	var kp kernel.Proof
+	var rangeErr error // reported after any derivation error
+	err := tracecheck.Derive(f, bytesTraceSource(traceBytes), func(c tracecheck.Clause) error {
+		if rangeErr == nil {
+			rangeErr = addChain(c, &kp)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, &Reject{Detail: fmt.Sprintf("trace export: %v", err)}
 	}
-	var kp kernel.Proof
-	if err := proofFromChains(clauses, &kp); err != nil {
-		return nil, &Reject{Detail: err.Error()}
+	if rangeErr == nil && kp.MaxVar > (math.MaxInt32-2)/2 {
+		rangeErr = fmt.Errorf("variable range exceeds the kernel's 31-bit literal space")
+	}
+	if rangeErr != nil {
+		return nil, &Reject{Detail: rangeErr.Error()}
 	}
 	return runKernel(f, &kp, opts)
 }
@@ -130,32 +140,23 @@ func flattenFormula(f *cnf.Formula, kf *kernel.Formula) error {
 	return nil
 }
 
-// proofFromChains converts derived clauses into the empty kernel proof kp.
-func proofFromChains(clauses []tracecheck.Clause, kp *kernel.Proof) error {
-	pMaxVar := 0
-	for _, c := range clauses {
-		if c.ID > math.MaxInt32 {
-			return fmt.Errorf("clause ID %d exceeds the kernel's 31-bit ID space", c.ID)
-		}
-		op := kernel.Op{ID: int32(c.ID), LitOff: int32(len(kp.Lits)), HintOff: int32(len(kp.Hints))}
-		for _, l := range c.Lits {
-			if int(l.Var()) > pMaxVar {
-				pMaxVar = int(l.Var())
-			}
-			kp.Lits = append(kp.Lits, int32(l))
-		}
-		for _, h := range c.Hints {
-			kp.Hints = append(kp.Hints, int32(h)) // hints name earlier clauses: h < c.ID
-		}
-		op.LitN = int32(len(kp.Lits)) - op.LitOff
-		op.HintN = int32(len(kp.Hints)) - op.HintOff
-		kp.Ops = append(kp.Ops, op)
-		kp.NumAdds++
+// addChain appends derived clause c to the kernel proof kp.
+func addChain(c tracecheck.Clause, kp *kernel.Proof) error {
+	if c.ID > math.MaxInt32 {
+		return fmt.Errorf("clause ID %d exceeds the kernel's 31-bit ID space", c.ID)
 	}
-	if pMaxVar > (math.MaxInt32-2)/2 {
-		return fmt.Errorf("variable range exceeds the kernel's 31-bit literal space")
+	op := kernel.Op{ID: int32(c.ID), LitOff: int32(len(kp.Lits)), HintOff: int32(len(kp.Hints))}
+	for _, l := range c.Lits {
+		kp.MaxVar = max(kp.MaxVar, int32(l.Var()))
+		kp.Lits = append(kp.Lits, int32(l))
 	}
-	kp.MaxVar = int32(pMaxVar)
+	for _, h := range c.Hints {
+		kp.Hints = append(kp.Hints, int32(h)) // hints name earlier clauses: h < c.ID
+	}
+	op.LitN = int32(len(kp.Lits)) - op.LitOff
+	op.HintN = int32(len(kp.Hints)) - op.HintOff
+	kp.Ops = append(kp.Ops, op)
+	kp.NumAdds++
 	return nil
 }
 

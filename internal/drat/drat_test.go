@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"satcheck/internal/kernelcheck"
 	"satcheck/internal/solver"
 	"satcheck/internal/trace"
+	"satcheck/internal/tracecheck"
 )
 
 // simpleUnsat is the four-clause contradiction over two variables.
@@ -344,11 +346,18 @@ func TestTraceToLRAT(t *testing.T) {
 	}
 }
 
+// TestTraceLRATLines writes tracecheck.Derive's clauses, hinted with the
+// trace's own resolve sources, as LRAT lines: the independent check must
+// accept them.
 func TestTraceLRATLines(t *testing.T) {
 	f, mem := solvedTraceInstance(t)
-	lines, err := kernelcheck.TraceLRATLines(f, mem)
+	var lines []drat.LRATLine
+	err := tracecheck.Derive(f, mem, func(c tracecheck.Clause) error {
+		lines = append(lines, drat.LRATLine{ID: c.ID, Lits: slices.Clone(c.Lits), Hints: slices.Clone(c.Hints)})
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("TraceLRATLines: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
 	var lrat bytes.Buffer
 	if err := drat.WriteLines(&lrat, lines); err != nil {

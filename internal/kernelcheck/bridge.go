@@ -32,17 +32,18 @@ func DRATToLRAT(f *cnf.Formula, src drat.Source, w io.Writer, opts checker.Optio
 
 // TraceToLRAT converts a native satcheck trace to LRAT: tracecheck.Derive
 // materializes the learned clause contents (each resolution chain is
-// validated on the way), the derived clause sequence is run through the
-// forward RUP engine with hint recording, and the emitted LRAT is
-// re-verified independently before being written.
+// validated on the way), the derived clause sequence, copied out of
+// Derive's buffers, is run through the forward RUP engine with hint
+// recording, and the emitted LRAT is re-verified independently before
+// being written.
 func TraceToLRAT(f *cnf.Formula, src trace.Source, w io.Writer, opts checker.Options) (*checker.Result, error) {
-	clauses, err := tracecheck.Derive(f, src)
+	proof := &drat.Proof{}
+	err := tracecheck.Derive(f, src, func(c tracecheck.Clause) error {
+		proof.Steps = append(proof.Steps, drat.Step{Lits: append(cnf.Clause{}, c.Lits...)})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	proof := &drat.Proof{}
-	for _, c := range clauses {
-		proof.Steps = append(proof.Steps, drat.Step{Lits: c.Lits})
 	}
 	res, lines, err := drat.AnnotateForward(f, proof, opts)
 	if err != nil {

@@ -2,7 +2,8 @@
 // the trusted kernel (internal/kernel). Every proof format terminates here:
 // LRAT bytes are scanned straight into the kernel's flat arrays (Scanner),
 // native traces carry their own hints (each learned clause's resolve
-// sources, ordered by tracecheck.Derive), and DRAT proofs are first
+// sources, ordered by tracecheck.Derive, which hands each clause straight
+// to the same arrays), and DRAT proofs are first
 // annotated by the forward engine (hint recording, internal/drat); the
 // kernel re-verifies every hint, so the only code path that can report
 // "verified" is kernel.Check.
@@ -161,45 +162,56 @@ func (kr *kernelRun) flatten(f *cnf.Formula, proof *drat.LRATProof) error {
 	maxVar := kr.flattenFormula(f)
 	kr.resetProof()
 	kp := &kr.kp
-	pMaxVar := 0
 	for li := range proof.Lines {
 		ln := &proof.Lines[li]
+		if !ln.Del {
+			if err := kr.addLine(ln.ID, ln.Lits, ln.Hints); err != nil {
+				return err
+			}
+			continue
+		}
 		id, err := kernelID(ln.ID)
 		if err != nil {
 			return err
 		}
-		if ln.Del {
-			op := kernel.Op{ID: id, Del: true, DelOff: int32(len(kp.Dels))}
-			for _, d := range ln.DelIDs {
-				di, err := kernelID(d)
-				if err != nil {
-					return err
-				}
-				kp.Dels = append(kp.Dels, di)
+		op := kernel.Op{ID: id, Del: true, DelOff: int32(len(kp.Dels))}
+		for _, d := range ln.DelIDs {
+			di, err := kernelID(d)
+			if err != nil {
+				return err
 			}
-			op.DelN = int32(len(kp.Dels)) - op.DelOff
-			kp.Ops = append(kp.Ops, op)
-			continue
+			kp.Dels = append(kp.Dels, di)
 		}
-		op := kernel.Op{ID: id, LitOff: int32(len(kp.Lits)), HintOff: int32(len(kp.Hints))}
-		for _, l := range ln.Lits {
-			if int(l.Var()) > pMaxVar {
-				pMaxVar = int(l.Var())
-			}
-			kp.Lits = append(kp.Lits, int32(l))
-		}
-		for _, h := range ln.Hints {
-			if h > math.MaxInt32 || h < -math.MaxInt32 {
-				return kernelIDRange(h)
-			}
-			kp.Hints = append(kp.Hints, int32(h))
-		}
-		op.LitN = int32(len(kp.Lits)) - op.LitOff
-		op.HintN = int32(len(kp.Hints)) - op.HintOff
+		op.DelN = int32(len(kp.Dels)) - op.DelOff
 		kp.Ops = append(kp.Ops, op)
-		kp.NumAdds++
 	}
-	return kr.setVarRange(maxVar, pMaxVar)
+	return kr.setVarRange(maxVar, int(kp.MaxVar))
+}
+
+// addLine appends the addition line id, lits, hints to kr's proof,
+// widening kp.MaxVar to its literals.
+func (kr *kernelRun) addLine(id int, lits cnf.Clause, hints []int) error {
+	kid, err := kernelID(id)
+	if err != nil {
+		return err
+	}
+	kp := &kr.kp
+	op := kernel.Op{ID: kid, LitOff: int32(len(kp.Lits)), HintOff: int32(len(kp.Hints))}
+	for _, l := range lits {
+		kp.MaxVar = max(kp.MaxVar, int32(l.Var()))
+		kp.Lits = append(kp.Lits, int32(l))
+	}
+	for _, h := range hints {
+		if h > math.MaxInt32 || h < -math.MaxInt32 {
+			return kernelIDRange(h)
+		}
+		kp.Hints = append(kp.Hints, int32(h))
+	}
+	op.LitN = int32(len(kp.Lits)) - op.LitOff
+	op.HintN = int32(len(kp.Hints)) - op.HintOff
+	kp.Ops = append(kp.Ops, op)
+	kp.NumAdds++
+	return nil
 }
 
 // kernelID narrows a clause ID to the kernel's int32 ID space. The LRAT
@@ -289,23 +301,6 @@ func kernelError(err error) error {
 // but must surface the same diagnostics as the in-memory path.
 func TranslateKernelError(err error) error { return kernelError(err) }
 
-// TraceLRATLines turns a native solver trace into the LRAT lines of
-// tracecheck.Derive's clauses, sharing their literal and hint slices. A
-// malformed trace is a FailTrace rejection, as in every native checker, so
-// callers (zverify exit 2, zcheckd "rejected") never see an internal
-// failure. KernelCheckTrace and the out-of-core checker both use it.
-func TraceLRATLines(f *cnf.Formula, src trace.Source) ([]drat.LRATLine, error) {
-	clauses, err := tracecheck.Derive(f, src)
-	if err != nil {
-		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: -1, Err: err}
-	}
-	lines := make([]drat.LRATLine, len(clauses))
-	for i, c := range clauses {
-		lines[i] = drat.LRATLine{ID: c.ID, Lits: c.Lits, Hints: c.Hints}
-	}
-	return lines, nil
-}
-
 // CheckLRAT verifies an LRAT proof of f with the trusted kernel: a
 // deliberately small hint-following verifier (internal/kernel) that shares
 // no propagation code with the DRAT engine, so the two implementations
@@ -341,15 +336,35 @@ func CheckLRATProof(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options)
 }
 
 // KernelCheckTrace verifies a native solver trace end to end through the
-// trusted kernel, with the trace's own resolve sources as hints
-// (TraceLRATLines). The returned Result is the kernel's, including the
-// hint-closure unsat core: the original clauses the trace's chains reach.
+// trusted kernel, with the trace's own resolve sources as hints:
+// tracecheck.Derive hands each derived clause straight to the pooled flat
+// proof, so no parsed line is ever built. A trace Derive refuses is a
+// FailTrace rejection, as in every native checker, so callers (zverify
+// exit 2, zcheckd "rejected") never see an internal failure. The returned
+// Result is the kernel's, including the hint-closure unsat core: the
+// original clauses the trace's chains reach.
 func KernelCheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
-	lines, err := TraceLRATLines(f, src)
+	kr := kernelRuns.Get().(*kernelRun)
+	defer kernelRuns.Put(kr)
+	maxVar := kr.flattenFormula(f)
+	kr.resetProof()
+	var rangeErr error // reported after any derivation error
+	err := tracecheck.Derive(f, src, func(c tracecheck.Clause) error {
+		if rangeErr == nil {
+			rangeErr = kr.addLine(c.ID, c.Lits, c.Hints)
+		}
+		return nil
+	})
 	if err != nil {
+		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: noStep, Err: err}
+	}
+	if rangeErr != nil {
+		return nil, rangeErr
+	}
+	if err := kr.setVarRange(maxVar, int(kr.kp.MaxVar)); err != nil {
 		return nil, err
 	}
-	return checkLRATKernel(f, &drat.LRATProof{Lines: lines}, opts, true)
+	return kr.check(opts, true)
 }
 
 // KernelCheckDRAT verifies a DRUP/DRAT proof through the trusted kernel:

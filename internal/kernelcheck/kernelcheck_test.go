@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"satcheck/internal/certify/kernelpipe"
@@ -211,9 +212,9 @@ func TestCheckLRATInterrupt(t *testing.T) {
 	}
 }
 
-// phpLRAT solves the pigeonhole instance with the given number of holes
-// and bridges its trace to LRAT.
-func phpLRAT(t testing.TB, holes int) (*cnf.Formula, []byte) {
+// phpTrace solves the pigeonhole instance with the given number of holes
+// and returns its trace.
+func phpTrace(t testing.TB, holes int) (*cnf.Formula, *trace.MemoryTrace) {
 	t.Helper()
 	f := gen.Pigeonhole(holes).F
 	s, err := solver.New(f, solver.Options{})
@@ -225,6 +226,14 @@ func phpLRAT(t testing.TB, holes int) (*cnf.Formula, []byte) {
 	if st, err := s.Solve(); err != nil || st != solver.StatusUnsat {
 		t.Fatalf("php-%d: status %v, err %v", holes, st, err)
 	}
+	return f, mt
+}
+
+// phpLRAT solves the pigeonhole instance with the given number of holes
+// and bridges its trace to LRAT.
+func phpLRAT(t testing.TB, holes int) (*cnf.Formula, []byte) {
+	t.Helper()
+	f, mt := phpTrace(t, holes)
 	var buf bytes.Buffer
 	if _, err := TraceToLRAT(f, mt, &buf, checker.Options{}); err != nil {
 		t.Fatal(err)
@@ -260,6 +269,85 @@ func TestCheckLRATAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelCheckTraceAllocs pins that a trace check builds no per-clause
+// structures: tracecheck.Derive hands each clause straight to the pooled
+// flat proof. What remains per learned record is the binary decoder's
+// Sources slice, which trace.Load keeps; the rest is a fixed handful.
+func TestKernelCheckTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	const perCheck = 200
+	dir := t.TempDir()
+	for _, holes := range []int{5, 7} {
+		f, mt := phpTrace(t, holes)
+		var bin bytes.Buffer
+		if err := mt.Replay(trace.NewBinaryWriter(&bin)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "php.trace")
+		if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		learned := 0
+		for _, ev := range mt.Events {
+			if ev.Kind == trace.KindLearned {
+				learned++
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := KernelCheckTrace(f, trace.FileSource(path), checker.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("php-%d (%d learned records): %.0f allocs per check", holes, learned, allocs)
+		if allocs > float64(learned+perCheck) {
+			t.Errorf("php-%d: %.0f allocs per check, want at most %d learned records + %d",
+				holes, allocs, learned, perCheck)
+		}
+	}
+}
+
+// TestKernelCheckTraceConcurrent runs trace checks of two formulas from
+// several goroutines at once: each must get the result a lone check gets,
+// although every check borrows its flat arrays from the shared pool.
+func TestKernelCheckTraceConcurrent(t *testing.T) {
+	type job struct {
+		f    *cnf.Formula
+		mt   *trace.MemoryTrace
+		want *checker.Result
+	}
+	var jobs []job
+	for _, holes := range []int{4, 5} {
+		f, mt := phpTrace(t, holes)
+		want, err := KernelCheckTrace(f, mt, checker.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{f, mt, want})
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 8 {
+				j := jobs[(g+i)%len(jobs)]
+				got, err := KernelCheckTrace(j.f, j.mt, checker.Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, j.want) {
+					t.Errorf("concurrent check: %+v, want %+v", got, j.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // lratScanFormula is the fixed target of FuzzLRATScan: chainFormula, so

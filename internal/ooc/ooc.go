@@ -46,6 +46,7 @@ import (
 	"satcheck/internal/kernel"
 	"satcheck/internal/kernelcheck"
 	"satcheck/internal/trace"
+	"satcheck/internal/tracecheck"
 )
 
 // DefaultMemBudgetBytes is the window-planning budget when
@@ -104,12 +105,17 @@ func CheckDRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.
 
 // CheckTrace verifies a native solver trace out of core: the trace's
 // derived clauses, hinted with their own resolve sources
-// (kernelcheck.TraceLRATLines, in memory), are verified by the windowed
-// kernel under the budget.
+// (tracecheck.Derive, copied into LRAT lines in memory), are verified by
+// the windowed kernel under the budget. A trace Derive refuses is a
+// FailTrace rejection, as in every native checker.
 func CheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
-	lines, err := kernelcheck.TraceLRATLines(f, src)
+	var lines []drat.LRATLine
+	err := tracecheck.Derive(f, src, func(c tracecheck.Clause) error {
+		lines = append(lines, drat.LRATLine{ID: c.ID, Lits: slices.Clone(c.Lits), Hints: slices.Clone(c.Hints)})
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: trace.NoClause, Step: noStep, Err: err}
 	}
 	return CheckLines(f, lines, opts)
 }

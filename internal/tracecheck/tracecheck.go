@@ -19,13 +19,15 @@
 // clause contents. Derive materializes the literals by running the same
 // chain resolutions the checker performs — so a successful Derive is itself
 // a full validation pass — compiles the final level-0 stage into one last
-// chain deriving the empty clause, and orders each chain as kernel hints.
+// chain deriving the empty clause, orders each chain as kernel hints, and
+// hands each clause to a visitor as it goes.
 package tracecheck
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,119 +60,221 @@ type ExportStats struct {
 }
 
 // Export writes the normalized formula plus Derive's clauses in TraceCheck
-// format; the output always ends with the empty clause. Learned clause
-// contents are materialized in memory, so this is offline tooling rather
-// than a bounded-memory checker (use the checker package for that).
+// format; the output always ends with the empty clause. The text is built
+// in memory and written only once the whole trace has been derived, so
+// this is offline tooling rather than a bounded-memory checker (use the
+// checker package for that).
 func Export(f *cnf.Formula, src trace.Source, w io.Writer) (*ExportStats, error) {
-	derived, err := Derive(f, src)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &countWriter{w: bw}
 	stats := &ExportStats{Originals: len(f.Clauses)}
+	var text []byte
 	for i, c := range f.Clauses {
 		nc, _ := c.Clone().Normalize()
-		if err := writeLine(cw, i+1, nc, nil); err != nil {
-			return nil, err
-		}
+		text = appendLine(text, i+1, nc, nil)
 	}
-	for _, c := range derived {
+	err := Derive(f, src, func(c Clause) error {
 		if len(c.Antecedents) == 0 {
-			continue // restates the formula's empty clause, written above
+			return nil // restates the formula's empty clause, written above
 		}
 		stats.Derived++
 		stats.Resolutions += int64(len(c.Antecedents) - 1)
-		if err := writeLine(cw, c.ID, c.Lits, c.Antecedents); err != nil {
-			return nil, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	stats.Bytes = cw.n
-	return stats, nil
-}
-
-// Derive validates a native trace's resolution chains against f and returns
-// the clauses they derive, numbered as in TraceCheck (formula clause i has
-// ID i+1): the learned clauses in trace order, then, unless the final
-// conflicting clause is an empty learned clause, one deriving the empty
-// clause: the chain resolving the final conflicting clause against the
-// level-0 antecedents in reverse chronological order, or, when the formula
-// itself holds the empty final clause, a restatement with no Antecedents.
-func Derive(f *cnf.Formula, src trace.Source) ([]Clause, error) {
-	data, err := trace.Load(src)
+		text = appendLine(text, c.ID, c.Lits, c.Antecedents)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	n, err := w.Write(text)
+	if err != nil {
+		return nil, err
+	}
+	stats.Bytes = int64(n)
+	return stats, nil
+}
+
+// Derive validates a native trace's resolution chains against f and calls
+// visit with each clause they derive, numbered as in TraceCheck (formula
+// clause i has ID i+1): the learned clauses in trace order, then, unless
+// the final conflicting clause is an empty learned clause, one deriving
+// the empty clause: the chain resolving the final conflicting clause
+// against the level-0 antecedents in reverse chronological order, or, when
+// the formula itself holds the empty final clause, a restatement with no
+// Antecedents.
+//
+// The visited Clause's slices are views into Derive's own buffers, valid
+// only during the call: a visitor that keeps a clause must copy it. An
+// error from visit stops the derivation and is returned as is. A trace
+// that fails validation may already have had some clauses visited.
+func Derive(f *cnf.Formula, src trace.Source, visit func(Clause) error) error {
+	data, err := trace.Load(src)
+	if err != nil {
+		return err
+	}
 	nOrig := len(f.Clauses)
 	if data.FirstLearned != -1 && data.FirstLearned != nOrig {
-		return nil, fmt.Errorf("tracecheck: trace starts learned IDs at %d but formula has %d clauses",
+		return fmt.Errorf("tracecheck: trace starts learned IDs at %d but formula has %d clauses",
 			data.FirstLearned, nOrig)
 	}
 
-	originals := make([]cnf.Clause, nOrig)
+	d := newDeriver(f, data.NumLearned())
+	for i, srcs := range data.LearnedSources {
+		// trace.Load guarantees 0 <= source < ID, so every source is a
+		// formula clause or an earlier learned one, derived by now.
+		id := nOrig + i
+		lits, err := d.resolve(srcs)
+		if err != nil {
+			return fmt.Errorf("tracecheck: deriving clause %d: %w", id, err)
+		}
+		if err := visit(d.hinted(id+1, lits, srcs, d.chain)); err != nil {
+			return err
+		}
+		data.LearnedSources[i] = nil // no longer needed; free it early
+	}
+
+	srcs, chain, err := FinalChain(data, func(id int) (cnf.Clause, error) {
+		if id < 0 || id >= len(d.off)-1 {
+			return nil, fmt.Errorf("tracecheck: clause %d out of range", id)
+		}
+		return d.clause(id), nil
+	})
+	if err != nil {
+		return err
+	}
+	switch id := nOrig + data.NumLearned() + 1; {
+	case len(srcs) > 1:
+		return visit(d.hinted(id, cnf.Clause{}, srcs, chain))
+	case data.FinalConflict < nOrig:
+		// The formula's own empty clause: restate it, since a kernel proof
+		// must add the empty clause.
+		return visit(Clause{ID: id, Lits: cnf.Clause{}, Hints: []int{data.FinalConflict + 1}})
+	}
+	return nil
+}
+
+// deriver is Derive's state: every clause so far, original and learned, in
+// one literal arena, and the scratch that builds and hints each resolvent.
+type deriver struct {
+	lits cnf.Clause // clause id (0-based) is lits[off[id]:off[id+1]], canonical
+	off  []int
+	taut []bool // clause id holds a complementary pair
+
+	mark  []uint32 // mark[l] == epoch while l is in the resolvent being built
+	epoch uint32
+	cur   cnf.Clause // the resolvent's literals, with ones since removed
+
+	chain       []cnf.Clause // the current chain's clauses
+	ante, hints []int
+	h           hinter
+}
+
+// newDeriver loads f's clauses, normalized, into a fresh arena.
+func newDeriver(f *cnf.Formula, nLearned int) *deriver {
+	n := len(f.Clauses) + nLearned
+	d := &deriver{off: make([]int, 1, n+1), taut: make([]bool, 0, n)}
 	maxVar := f.NumVars
-	for i, c := range f.Clauses {
-		nc, _ := c.Clone().Normalize()
-		originals[i] = nc
+	for _, c := range f.Clauses {
+		start := len(d.lits)
+		d.lits = append(d.lits, c...)
+		nc, taut := d.lits[start:].Normalize()
+		d.lits = d.lits[:start+len(nc)]
+		d.off = append(d.off, len(d.lits))
+		d.taut = append(d.taut, taut)
 		for _, l := range nc {
 			maxVar = max(maxVar, int(l.Var()))
 		}
 	}
+	d.mark = make([]uint32, 2*maxVar+2)
+	d.h.isTrue = make([]bool, 2*maxVar+2)
+	return d
+}
 
-	learned := make([]cnf.Clause, data.NumLearned())
-	getClause := func(id int) (cnf.Clause, error) {
-		switch {
-		case id < 0 || id >= nOrig+len(learned):
-			return nil, fmt.Errorf("tracecheck: clause %d out of range", id)
-		case id < nOrig:
-			return originals[id], nil
-		default:
-			cl := learned[id-nOrig]
-			if cl == nil {
-				return nil, fmt.Errorf("tracecheck: clause %d used before derivation", id)
+// clause returns clause id's literals; the view cannot grow into the arena.
+func (d *deriver) clause(id int) cnf.Clause {
+	return d.lits[d.off[id]:d.off[id+1]:d.off[id+1]]
+}
+
+// resolve derives the clause that the chain srcs (0-based IDs) resolves
+// to, appends it to the arena and returns it, leaving the chain's clauses
+// in d.chain. Each step costs O(|source|): the source's literals are
+// checked against the marks of the resolvent so far. Marks and the sorted
+// merge of resolve.Chain agree on canonical clauses without complementary
+// pairs, and disagree on ones with them: the merge of {x, ¬x} and {x} has
+// no clash, while marks count one. So a chain through such a clause, or a
+// step that does not clash on exactly one variable, is left to
+// resolve.Chain, whose clause or error is the answer.
+func (d *deriver) resolve(srcs []int) (cnf.Clause, error) {
+	d.chain = d.chain[:0]
+	taut := false
+	for _, s := range srcs {
+		d.chain = append(d.chain, d.clause(s))
+		taut = taut || d.taut[s]
+	}
+	var lits cnf.Clause
+	if !taut && d.marks() {
+		lits = d.cur
+	} else {
+		var err error
+		if lits, err = resolve.Chain(d.chain[0], d.chain[1:]); err != nil {
+			return nil, err
+		}
+		_, taut = lits.Normalize() // already canonical: only the flag is new
+	}
+	d.lits = append(d.lits, lits...)
+	d.off = append(d.off, len(d.lits))
+	d.taut = append(d.taut, taut)
+	return d.clause(len(d.off) - 2), nil
+}
+
+// marks resolves d.chain into d.cur, sorted, and reports whether every
+// step clashed on exactly one variable; d.cur is undefined when not.
+func (d *deriver) marks() bool {
+	if d.epoch++; d.epoch == 0 {
+		clear(d.mark)
+		d.epoch = 1
+	}
+	e, mark := d.epoch, d.mark
+	cur := append(d.cur[:0], d.chain[0]...)
+	for _, l := range cur {
+		mark[l] = e
+	}
+	for _, cl := range d.chain[1:] {
+		clashes := 0
+		for _, l := range cl {
+			switch {
+			case mark[l.Neg()] == e:
+				mark[l.Neg()] = 0 // the pivot leaves the resolvent
+				clashes++
+			case mark[l] != e:
+				mark[l] = e
+				cur = append(cur, l)
 			}
-			return cl, nil
+		}
+		if clashes != 1 {
+			d.cur = cur
+			return false
 		}
 	}
+	// Keep each marked literal once: a pivot can leave and come back.
+	out := cur[:0]
+	for _, l := range cur {
+		if mark[l] == e {
+			mark[l] = 0
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	d.cur = out
+	return true
+}
 
-	h := &hinter{isTrue: make([]bool, 2*maxVar+2)}
-	out := make([]Clause, 0, len(learned)+1)
-	var chain []cnf.Clause
-	for i, srcs := range data.LearnedSources {
-		id := nOrig + i
-		chain = chain[:0]
-		for _, sid := range srcs {
-			cl, err := getClause(sid)
-			if err != nil {
-				return nil, err
-			}
-			chain = append(chain, cl)
-		}
-		lits, err := resolve.Chain(chain[0], chain[1:])
-		if err != nil {
-			return nil, fmt.Errorf("tracecheck: deriving clause %d: %w", id, err)
-		}
-		learned[i] = lits
-		out = append(out, h.derived(id+1, lits, srcs, chain))
-		data.LearnedSources[i] = nil // copied into Antecedents; free it early
+// hinted returns clause id (1-based) with content lits, derived by chain
+// (0-based IDs srcs), its Antecedents and Hints in d's buffers.
+func (d *deriver) hinted(id int, lits cnf.Clause, srcs []int, chain []cnf.Clause) Clause {
+	d.ante = d.ante[:0]
+	for _, s := range srcs {
+		d.ante = append(d.ante, s+1)
 	}
-
-	srcs, chain, err := FinalChain(data, getClause)
-	if err != nil {
-		return nil, err
-	}
-	switch id := nOrig + len(learned) + 1; {
-	case len(srcs) > 1:
-		out = append(out, h.derived(id, cnf.Clause{}, srcs, chain))
-	case data.FinalConflict < nOrig:
-		// The formula's own empty clause: restate it, since a kernel proof
-		// must add the empty clause.
-		out = append(out, Clause{ID: id, Lits: cnf.Clause{}, Hints: []int{data.FinalConflict + 1}})
-	}
-	return out, nil
+	d.hints = d.h.order(d.hints[:0], lits, d.ante, chain)
+	return Clause{ID: id, Lits: lits, Antecedents: d.ante, Hints: d.hints}
 }
 
 // FinalChain replays a trace's final stage and returns its resolution chain
@@ -179,7 +283,8 @@ func Derive(f *cnf.Formula, src trace.Source) ([]Clause, error) {
 // reverse chronological order. Each antecedent must hold the pivot's true
 // literal, with every other literal false and assigned strictly earlier —
 // the native checkers' antecedent rule, which also bounds the chain by the
-// number of level-0 assignments.
+// number of level-0 assignments. A variable may be assigned at level 0
+// only once, as in the native checkers.
 func FinalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]int, []cnf.Clause, error) {
 	type rec struct {
 		ante, pos int
@@ -187,6 +292,9 @@ func FinalChain(data *trace.Data, getClause func(int) (cnf.Clause, error)) ([]in
 	}
 	recs := make(map[cnf.Var]rec, len(data.Level0))
 	for i, r := range data.Level0 {
+		if _, dup := recs[r.Var]; dup {
+			return nil, nil, fmt.Errorf("tracecheck: variable %d assigned at level 0 twice", r.Var)
+		}
 		recs[r.Var] = rec{ante: r.Ante, pos: i, value: r.Value}
 	}
 	cl, err := getClause(data.FinalConflict)
@@ -245,24 +353,20 @@ type hinter struct {
 	pending []int
 }
 
-// derived returns clause id (1-based) with content lits, derived by chain
-// (0-based IDs srcs). Hints walk the chain in reverse under ¬lits, emitting
-// each antecedent unit under the literals implied so far and, last, the
-// first falsified one; satisfied ones are dropped, ones with two open
-// literals wait for another sweep. Distinct pivots give the reversed chain
-// in one sweep; a repeated pivot still ends in a conflict, as a linear
-// chain is an input resolution and input and unit refutation are equivalent.
-func (h *hinter) derived(id int, lits cnf.Clause, srcs []int, chain []cnf.Clause) Clause {
-	n := len(srcs)
-	c := Clause{ID: id, Lits: lits, Antecedents: make([]int, n), Hints: make([]int, 0, n)}
-	for j, sid := range srcs {
-		c.Antecedents[j] = sid + 1
-	}
+// order appends to hints the antecedents ante (1-based IDs of the clauses
+// chain) of a clause with content lits, in replay order, and returns it.
+// Hints walk the chain in reverse under ¬lits, emitting each antecedent
+// unit under the literals implied so far and, last, the first falsified
+// one; satisfied ones are dropped, ones with two open literals wait for
+// another sweep. Distinct pivots give the reversed chain in one sweep; a
+// repeated pivot still ends in a conflict, as a linear chain is an input
+// resolution and input and unit refutation are equivalent.
+func (h *hinter) order(hints []int, lits cnf.Clause, ante []int, chain []cnf.Clause) []int {
 	for _, l := range lits {
 		h.assume(l.Neg())
 	}
 	h.pending = h.pending[:0]
-	for j := n - 1; j >= 0; j-- {
+	for j := len(ante) - 1; j >= 0; j-- {
 		h.pending = append(h.pending, j)
 	}
 sweep:
@@ -272,10 +376,10 @@ sweep:
 		for _, j := range h.pending {
 			switch unit, open := h.eval(chain[j]); open {
 			case 0:
-				c.Hints = append(c.Hints, c.Antecedents[j])
+				hints = append(hints, ante[j])
 				break sweep
 			case 1:
-				c.Hints = append(c.Hints, c.Antecedents[j])
+				hints = append(hints, ante[j])
 				h.assume(unit)
 				progress = true
 			case 2:
@@ -288,7 +392,7 @@ sweep:
 		h.isTrue[l] = false
 	}
 	h.trail = h.trail[:0]
-	return c
+	return hints
 }
 
 // eval returns -1 if cl is satisfied, else its number of open literals up
@@ -312,32 +416,19 @@ func (h *hinter) assume(l cnf.Lit) {
 	h.trail = append(h.trail, l)
 }
 
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-func writeLine(w io.Writer, id int, lits cnf.Clause, antecedents []int) error {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(id))
+// appendLine appends one TraceCheck line to b.
+func appendLine(b []byte, id int, lits cnf.Clause, antecedents []int) []byte {
+	b = strconv.AppendInt(b, int64(id), 10)
 	for _, l := range lits {
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(l.Dimacs()))
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(l.Dimacs()), 10)
 	}
-	b.WriteString(" 0")
+	b = append(b, " 0"...)
 	for _, a := range antecedents {
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(a))
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
-	b.WriteString(" 0\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return append(b, " 0\n"...)
 }
 
 // Parse reads a TraceCheck file.

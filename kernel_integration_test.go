@@ -228,37 +228,75 @@ func TestKernelRejectsLRATFaults(t *testing.T) {
 	}
 }
 
-// TestKernelMalformedTraceIsRejection pins the failure classification of the
-// kernel-gated native path: a structurally corrupt trace (no final-conflict
-// record) must surface as a *CheckError with the same malformed-trace kind
-// the classic checkers report — not as a raw bridge error — so zverify exits
+// TestKernelMalformedTraceIsRejection pins the failure classification of
+// structurally corrupt traces: with no final-conflict record, or with a
+// variable assigned at level 0 twice (with either value), every native
+// method — the kernel-gated ones included — must surface a *CheckError
+// with the malformed-trace kind, not a raw bridge error, so zverify exits
 // 2 and zcheckd records a cached "rejected" verdict rather than a worker
-// failure.
+// failure. The certification kernel pipeline and interpolation, which
+// replay the same final stage, must refuse the traces too.
 func TestKernelMalformedTraceIsRejection(t *testing.T) {
-	f := gen.Pigeonhole(4).F
-	st, mt, _ := solveBoth(t, f)
-	if st != satcheck.StatusUnsat {
-		t.Fatalf("pigeonhole(4) solved %v", st)
+	f := gen.Pigeonhole(5).F
+	run, err := satcheck.SolveWithProof(f, satcheck.SolverOptions{})
+	if err != nil || run.Status != satcheck.StatusUnsat {
+		t.Fatalf("pigeonhole(5): %v, %v", run, err)
 	}
-	bad := &trace.MemoryTrace{}
-	for _, ev := range mt.Events {
-		if ev.Kind == trace.KindFinalConflict {
-			continue
+	noFinal := &trace.MemoryTrace{}
+	for _, ev := range run.Trace.Events {
+		if ev.Kind != trace.KindFinalConflict {
+			noFinal.Events = append(noFinal.Events, ev)
 		}
-		bad.Events = append(bad.Events, ev)
 	}
-	for _, m := range []satcheck.Method{satcheck.Hybrid, satcheck.Kernel} {
-		_, err := satcheck.Check(f, bad, m, satcheck.CheckOptions{})
-		if err == nil {
-			t.Fatalf("%v accepted a trace with no final conflict", m)
+	// twice inserts a copy of the first level-0 record right after it.
+	twice := func(flip bool) *trace.MemoryTrace {
+		i := slices.IndexFunc(run.Trace.Events, func(ev trace.Event) bool { return ev.Kind == trace.KindLevelZero })
+		if i < 0 {
+			t.Fatal("trace has no level-0 record")
 		}
-		var ce *satcheck.CheckError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%v rejection is not a *CheckError: %v", m, err)
-		}
-		if ce.Kind.String() != "malformed-trace" {
-			t.Fatalf("%v rejection kind = %q, want malformed-trace", m, ce.Kind)
-		}
+		dup := run.Trace.Events[i]
+		dup.Value = dup.Value != flip
+		return &trace.MemoryTrace{Events: slices.Insert(slices.Clone(run.Trace.Events), i+1, dup)}
+	}
+	inA := make([]bool, f.NumClauses())
+	for i := range inA[:len(inA)/2] {
+		inA[i] = true
+	}
+	for _, tc := range []struct {
+		name string
+		mt   *trace.MemoryTrace
+	}{
+		{"no-final-conflict", noFinal},
+		{"level0-twice-flipped", twice(true)},
+		{"level0-twice-same", twice(false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, m := range []satcheck.Method{satcheck.DepthFirst, satcheck.BreadthFirst, satcheck.Hybrid,
+				satcheck.Parallel, satcheck.Kernel, satcheck.OOC} {
+				_, err := satcheck.Check(f, tc.mt, m, satcheck.CheckOptions{TempDir: t.TempDir()})
+				if err == nil {
+					t.Fatalf("%v accepted the trace", m)
+				}
+				var ce *satcheck.CheckError
+				if !errors.As(err, &ce) {
+					t.Fatalf("%v rejection is not a *CheckError: %v", m, err)
+				}
+				if ce.Kind.String() != "malformed-trace" {
+					t.Fatalf("%v rejection kind = %q, want malformed-trace (%v)", m, ce.Kind, err)
+				}
+			}
+			var text bytes.Buffer
+			if err := tc.mt.Replay(trace.NewASCIIWriter(&text)); err != nil {
+				t.Fatal(err)
+			}
+			var rej *kernelpipe.Reject
+			if _, err := kernelpipe.CheckTrace(f, text.Bytes(), kernelpipe.Options{}); !errors.As(err, &rej) {
+				t.Fatalf("kernelpipe.CheckTrace: %v, want a rejection", err)
+			}
+			if _, err := satcheck.Interpolate(f, tc.mt, inA); err == nil {
+				t.Fatal("Interpolate accepted the trace")
+			}
+		})
 	}
 }
 
