@@ -83,11 +83,14 @@ bench-cluster:
 		| $(GO) run ./cmd/benchjson -o BENCH_cluster.json
 
 # Cluster smoke: the chaos soak (3 shards, zfuzz-stream traffic, a shard
-# crash-killed and replaced mid-load) plus the graceful-drain smoke (mixed
-# sync/async traffic with one SIGTERM-style drain), both under the race
-# detector. CI runs this as its own job.
+# crash-killed and replaced mid-load), the graceful-drain smoke (mixed
+# sync/async traffic with one SIGTERM-style drain), and every branch of the
+# router's one shard round trip — failover past a dead or backpressuring
+# shard, a corrupt blob on the sync and dual paths, the 413, and pin
+# release on every way a submission ends — all under the race detector.
+# CI runs this as its own job.
 cluster-smoke:
-	$(GO) test -race -v -run 'TestClusterChaosSoak|TestClusterSmokeDrain|TestCorruptBlobNeverDispatched' ./internal/cluster/
+	$(GO) test -race -v -run 'TestClusterChaosSoak|TestClusterSmokeDrain|TestCorruptBlobNeverDispatched|TestSyncFailoverOnShardDeath|TestFailoverPastBackpressuringShard|TestClusterDualCorruptBlob|TestRouterBodyTooLarge|TestIngestReleasesPins' ./internal/cluster/
 
 # The suite's UNSAT instances zsat must solve AND dually certify end to end
 # (exit 20 = certified; anything else fails the smoke). The conformance

@@ -158,15 +158,15 @@ func (rt *Router) handleSyncCheck(w http.ResponseWriter, r *http.Request) {
 		rt.badRequest(w, fmt.Sprintf("unknown policy %q (want dual)", pol))
 		return
 	}
-	in, err := rt.ingest(r, w)
+	parts, err := rt.ingest(w, r, "formula", "trace")
 	if err != nil {
-		rt.badRequest(w, err.Error())
+		rt.rejectIngest(w, err)
 		return
 	}
-	defer rt.unpin(in)
+	defer rt.unpin(parts)
 
-	key := JobKey(in.formulaHash, in.proofHash)
-	res, err := rt.dispatch(r.Context(), key, r.URL.RawQuery, in)
+	owners := rt.ring.Owners(JobKey(parts[0].hash, parts[1].hash), 0)
+	res, err := rt.dispatch(r.Context(), owners, "", r.URL.RawQuery, parts)
 	if err != nil {
 		rt.metrics.syncRejected.Add(1)
 		if errors.Is(err, store.ErrCorrupt) {
@@ -208,9 +208,9 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		rt.badRequest(w, err.Error())
 		return
 	}
-	in, err := rt.ingest(r, w)
+	parts, err := rt.ingest(w, r, "formula", "trace")
 	if err != nil {
-		rt.badRequest(w, err.Error())
+		rt.rejectIngest(w, err)
 		return
 	}
 	// The blobs stay pinned until the job reaches a terminal state; the
@@ -227,14 +227,14 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Class:       class,
 		Query:       q.Encode(),
 		Webhook:     webhook,
-		FormulaHash: in.formulaHash,
-		ProofHash:   in.proofHash,
+		FormulaHash: parts[0].hash,
+		ProofHash:   parts[1].hash,
 		State:       store.StateQueued,
 		Created:     now,
 		Updated:     now,
 	}
 	if err := rt.store.PutJob(rec); err != nil {
-		rt.unpin(in)
+		rt.unpin(parts)
 		rt.writeJSON(w, http.StatusInternalServerError,
 			&server.ErrorResponse{Error: "persisting job: " + err.Error()})
 		return

@@ -5,8 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime/multipart"
+	"maps"
 	"net/http"
 	"net/url"
 	"sync"
@@ -34,18 +33,19 @@ func (rt *Router) handleDualCertify(w http.ResponseWriter, r *http.Request) {
 			&server.ErrorResponse{Error: "certification signer unavailable"})
 		return
 	}
-	in, err := rt.ingestDual(r, w)
+	parts, err := rt.ingest(w, r, "formula", "trace|lrat", "drat")
 	if err != nil {
-		rt.badRequest(w, err.Error())
+		rt.rejectIngest(w, err)
 		return
 	}
-	defer rt.unpinDual(in)
+	defer rt.unpin(parts)
+	formula, kernel, drat := parts[0], parts[1], parts[2]
 
-	h := certify.Hashes{Instance: in.formula.String(), DRAT: in.drat.String()}
-	if in.kernelField == "trace" {
-		h.Trace = in.kernel.String()
+	h := certify.Hashes{Instance: formula.hash.String(), DRAT: drat.hash.String()}
+	if kernel.field == "trace" {
+		h.Trace = kernel.hash.String()
 	} else {
-		h.LRAT = in.kernel.String()
+		h.LRAT = kernel.hash.String()
 	}
 
 	// Forward only the knobs the shard pipelines understand.
@@ -57,10 +57,8 @@ func (rt *Router) handleDualCertify(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	kernelParts := []storePart{{"formula", in.formula}, {in.kernelField, in.kernel}}
-	rupParts := []storePart{{"formula", in.formula}, {"drat", in.drat}}
-	kernelOwners := rt.ring.Owners(JobKey(in.formula, in.kernel), 0)
-	rupOwners := rt.ring.Owners(JobKey(in.formula, in.drat), 0)
+	kernelOwners := rt.ring.Owners(JobKey(formula.hash, kernel.hash), 0)
+	rupOwners := rt.ring.Owners(JobKey(formula.hash, drat.hash), 0)
 	// The kernel side will land on its first healthy owner; steer the rup
 	// side away from that shard when the ring can offer an alternative.
 	avoid := rt.firstHealthy(kernelOwners)
@@ -70,11 +68,11 @@ func (rt *Router) handleDualCertify(w http.ResponseWriter, r *http.Request) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		verdicts[0] = rt.dispatchPipeline(r.Context(), certify.PipelineKernel, sub, kernelParts, kernelOwners, "")
+		verdicts[0] = rt.dispatchPipeline(r.Context(), certify.PipelineKernel, sub, []storePart{formula, kernel}, kernelOwners, "")
 	}()
 	go func() {
 		defer wg.Done()
-		verdicts[1] = rt.dispatchPipeline(r.Context(), certify.PipelineRUP, sub, rupParts, rupOwners, avoid)
+		verdicts[1] = rt.dispatchPipeline(r.Context(), certify.PipelineRUP, sub, []storePart{formula, drat}, rupOwners, avoid)
 	}()
 	wg.Wait()
 
@@ -83,88 +81,6 @@ func (rt *Router) handleDualCertify(w http.ResponseWriter, r *http.Request) {
 	rt.log.Info("certification", "outcome", bundle.Outcome, "reason", bundle.Reason,
 		"kernel_shard", verdicts[0].Shard, "rup_shard", verdicts[1].Shard)
 	rt.writeJSON(w, http.StatusOK, bundle)
-}
-
-// storePart is one multipart field streamed out of the content store.
-type storePart struct {
-	field string
-	hash  store.Hash
-}
-
-// dualIngested is the pinned artifact set of one certification request.
-type dualIngested struct {
-	formula, kernel, drat store.Hash
-	kernelField           string // "trace" or "lrat"
-	haveF, haveK, haveD   bool
-}
-
-func (rt *Router) unpinDual(in *dualIngested) {
-	if in.haveF {
-		rt.store.Unpin(in.formula)
-	}
-	if in.haveK {
-		rt.store.Unpin(in.kernel)
-	}
-	if in.haveD {
-		rt.store.Unpin(in.drat)
-	}
-}
-
-// ingestDual spools formula + (trace|lrat) + drat into the store, pinned.
-func (rt *Router) ingestDual(r *http.Request, w http.ResponseWriter) (*dualIngested, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, fmt.Errorf("expected multipart/form-data with parts \"formula\", \"trace\"|\"lrat\", and \"drat\": %w", err)
-	}
-	in := &dualIngested{}
-	var n int64
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rt.unpinDual(in)
-			return nil, fmt.Errorf("reading multipart body: %w", err)
-		}
-		name := part.FormName()
-		var slot *store.Hash
-		var have *bool
-		switch name {
-		case "formula":
-			slot, have = &in.formula, &in.haveF
-		case "trace", "lrat":
-			if in.haveK {
-				rt.unpinDual(in)
-				return nil, errors.New("duplicate kernel-pipeline part (one of \"trace\" or \"lrat\")")
-			}
-			slot, have = &in.kernel, &in.haveK
-			in.kernelField = name
-		case "drat":
-			slot, have = &in.drat, &in.haveD
-		default:
-			io.Copy(io.Discard, part)
-			continue
-		}
-		if *have {
-			rt.unpinDual(in)
-			return nil, fmt.Errorf("duplicate %q part", name)
-		}
-		h, sz, err := rt.store.PutPinned(part)
-		if err != nil {
-			rt.unpinDual(in)
-			return nil, err
-		}
-		*slot, *have = h, true
-		n += sz
-	}
-	if !in.haveF || !in.haveK || !in.haveD {
-		rt.unpinDual(in)
-		return nil, errors.New("certification needs parts \"formula\", \"trace\"|\"lrat\", and \"drat\"")
-	}
-	rt.metrics.bytesIngested.Add(n)
-	return in, nil
 }
 
 // firstHealthy reports the shard the dispatch loop would pick first.
@@ -177,121 +93,31 @@ func (rt *Router) firstHealthy(owners []string) string {
 	return ""
 }
 
-// dispatchPipeline runs one certification pipeline on a shard, streaming
-// the parts out of the content store, failing over across ring owners.
-// Shards whose ID differs from avoid are tried first — pipeline diversity —
-// but a one-shard cluster still certifies (both pipelines on one machine is
-// the local Certifier's trust level, not worse). Every failure mode
-// degrades to an "error" verdict the router merges fail-closed; this
-// function never fails open and never panics the request.
+// dispatchPipeline runs one certification pipeline as a pipeline=
+// sub-request through dispatch and maps the result onto a CheckerVerdict.
+// Every failure mode degrades to an "error" verdict the router merges
+// fail-closed; this function never fails open and never panics the request.
 func (rt *Router) dispatchPipeline(ctx context.Context, pipeline string, query url.Values, parts []storePart, owners []string, avoid string) certify.CheckerVerdict {
 	errVerdict := func(detail string) certify.CheckerVerdict {
 		return certify.CheckerVerdict{Pipeline: pipeline, Verdict: certify.VerdictError, Detail: detail}
 	}
-	q := url.Values{}
-	for k, v := range query {
-		q[k] = v
-	}
+	q := maps.Clone(query)
 	q.Set("pipeline", pipeline)
-
-	// Preference order: healthy owners away from avoid first, then avoid.
-	var candidates []string
-	var fallback []string
-	for _, id := range owners {
-		sh, ok := rt.shard(id)
-		if !ok || !sh.Healthy() {
-			continue
-		}
-		if id == avoid {
-			fallback = append(fallback, id)
-		} else {
-			candidates = append(candidates, id)
-		}
-	}
-	candidates = append(candidates, fallback...)
-	if len(candidates) == 0 {
+	res, err := rt.dispatch(ctx, owners, avoid, q.Encode(), parts)
+	switch {
+	case errors.Is(err, errNoShard):
 		return errVerdict("no healthy shard available")
+	case errors.Is(err, store.ErrCorrupt):
+		return errVerdict("stored payload failed hash verification before dispatch; resubmit")
+	case err != nil:
+		return errVerdict(err.Error())
+	case res.status != http.StatusOK:
+		return errVerdict(fmt.Sprintf("shard %s: HTTP %d: %s", res.shard, res.status, shardErrorText(res.body, res.status)))
 	}
-
-	var lastErr string
-	for i, id := range candidates {
-		sh, ok := rt.shard(id)
-		if !ok {
-			continue
-		}
-		if i > 0 {
-			rt.metrics.failovers.Add(1)
-		}
-		resp, err := rt.postStoreParts(ctx, sh, q.Encode(), parts)
-		if err != nil {
-			if errors.Is(err, store.ErrCorrupt) {
-				rt.metrics.corruptRestarts.Add(1)
-				return errVerdict("stored payload failed hash verification before dispatch; resubmit")
-			}
-			if ctx.Err() != nil {
-				return errVerdict("dispatch canceled: " + ctx.Err().Error())
-			}
-			lastErr = err.Error()
-			rt.log.Warn("pipeline dispatch failed", "pipeline", pipeline, "shard", id, "err", err)
-			continue
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			lastErr = rerr.Error()
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var v certify.CheckerVerdict
-			if err := json.Unmarshal(body, &v); err != nil {
-				return errVerdict(fmt.Sprintf("shard %s answered undecodable verdict: %v", id, err))
-			}
-			v.Shard = id
-			return v
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
-			lastErr = fmt.Sprintf("shard %s backpressure (%d)", id, resp.StatusCode)
-			continue
-		default:
-			return errVerdict(fmt.Sprintf("shard %s: HTTP %d: %s", id, resp.StatusCode, shardErrorText(body, resp.StatusCode)))
-		}
+	var v certify.CheckerVerdict
+	if err := json.Unmarshal(res.body, &v); err != nil {
+		return errVerdict(fmt.Sprintf("shard %s answered undecodable verdict: %v", res.shard, err))
 	}
-	return errVerdict("every ring owner failed: " + lastErr)
-}
-
-// postStoreParts streams the given store blobs as one multipart POST to a
-// shard's /v1/check, re-verifying hashes on the way out (store.Open).
-func (rt *Router) postStoreParts(ctx context.Context, sh *Shard, rawQuery string, parts []storePart) (*http.Response, error) {
-	pr, pw := io.Pipe()
-	mw := multipart.NewWriter(pw)
-	go func() {
-		var err error
-		for _, p := range parts {
-			src, _, oerr := rt.store.Open(p.hash)
-			if oerr != nil {
-				err = oerr
-				break
-			}
-			w, werr := mw.CreateFormFile(p.field, p.hash.String())
-			if werr == nil {
-				_, werr = io.Copy(w, src)
-			}
-			src.Close()
-			if werr != nil {
-				err = werr
-				break
-			}
-		}
-		if cerr := mw.Close(); err == nil {
-			err = cerr
-		}
-		pw.CloseWithError(err)
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.URL+"/v1/check?"+rawQuery, pr)
-	if err != nil {
-		pr.Close()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
-	return rt.dispatchClient.Do(req)
+	v.Shard = res.shard
+	return v
 }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"satcheck/internal/certify"
 	"satcheck/internal/cnf"
 	"satcheck/internal/gen"
+	"satcheck/internal/store"
 )
 
 // dualPayload solves one UNSAT instance twice — once for the native trace
@@ -143,6 +146,40 @@ func TestClusterDualCertify(t *testing.T) {
 		if !strings.Contains(string(mdata), want) {
 			t.Errorf("router metrics missing %q", want)
 		}
+	}
+}
+
+// TestClusterDualCorruptBlob flips a bit of a stored DRAT blob and runs the
+// rup pipeline over it: the answer must be an error verdict naming hash
+// verification, with the blob quarantined and the dispatch counted once.
+func TestClusterDualCorruptBlob(t *testing.T) {
+	formula, traceBytes, dratBytes := dualPayload(t, gen.Pigeonhole(4))
+	rt, ts := newTestRouter(t, Config{Shards: 1})
+	resp, data := postDual(t, ts, "?policy=dual", map[string][]byte{
+		"formula": formula, "trace": traceBytes, "drat": dratBytes,
+	})
+	if bundle, err := certify.ParseBundle(data); resp.StatusCode != http.StatusOK || err != nil || !bundle.Certified() {
+		t.Fatalf("status %d (%v): %s", resp.StatusCode, err, data)
+	}
+
+	fh, dh := store.HashBytes(formula), store.HashBytes(dratBytes)
+	corruptBlobOnDisk(t, rt.Store(), dh)
+	v := rt.dispatchPipeline(context.Background(), certify.PipelineRUP, url.Values{"policy": {"dual"}},
+		[]storePart{{"formula", fh}, {"drat", dh}}, rt.Ring().Owners(JobKey(fh, dh), 0), "")
+	if v.Verdict != certify.VerdictError || !strings.Contains(v.Detail, "hash verification") {
+		t.Fatalf("corrupt DRAT blob answered %+v", v)
+	}
+	if rt.Store().Stats().Corruptions == 0 {
+		t.Fatal("corruption not detected/quarantined")
+	}
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(mdata), "\nzcheckd_store_corrupt_dispatches_total 1\n") {
+		t.Errorf("router metrics do not read zcheckd_store_corrupt_dispatches_total 1:\n%s", mdata)
 	}
 }
 

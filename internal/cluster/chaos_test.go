@@ -318,8 +318,8 @@ func TestCorruptBlobNeverDispatched(t *testing.T) {
 	// detects it. Our store keys writes by content hash, so the re-upload
 	// itself re-writes a good copy only if the old one was dropped; go
 	// through the dispatch path directly to force a read of the bad blob.
-	in := &ingested{formulaHash: store.HashBytes(p.formula), proofHash: h, haveFormula: true, haveProof: true}
-	_, err := rt.dispatch(context.Background(), JobKey(in.formulaHash, in.proofHash), "", in)
+	parts := []storePart{{"formula", store.HashBytes(p.formula)}, {"trace", h}}
+	_, err := rt.dispatch(context.Background(), rt.Ring().Owners(JobKey(parts[0].hash, h), 0), "", "", parts)
 	if err == nil {
 		t.Fatal("dispatch over a corrupt blob produced an answer")
 	}

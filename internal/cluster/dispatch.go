@@ -114,37 +114,37 @@ func (rt *Router) runJob(id string) {
 	rt.store.PutJob(rec)
 	rt.metrics.ObserveJobState(store.StateRunning, rec.Class)
 
-	in := &ingested{
-		formulaHash: rec.FormulaHash,
-		proofHash:   rec.ProofHash,
-		haveFormula: true,
-		haveProof:   true,
-	}
+	parts := []storePart{{"formula", rec.FormulaHash}, {"trace", rec.ProofHash}}
+	owners := rt.ring.Owners(JobKey(rec.FormulaHash, rec.ProofHash), 0)
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.DispatchTimeout)
-	res, err := rt.dispatch(ctx, JobKey(rec.FormulaHash, rec.ProofHash), rec.Query, in)
+	res, err := rt.dispatch(ctx, owners, "", rec.Query, parts)
 	cancel()
 
 	switch {
 	case err == nil && res.status == http.StatusOK:
-		rt.finishJob(rec, in, store.StateDone, res.shard, "", res.body)
+		rt.finishJob(rec, store.StateDone, res.shard, "", res.body)
 	case err == nil:
 		// A definitive non-OK shard answer (e.g. 400 bad formula) will not
 		// change on retry: the job fails now, carrying the shard's error.
-		rt.finishJob(rec, in, store.StateFailed, res.shard, shardErrorText(res.body, res.status), nil)
+		rt.finishJob(rec, store.StateFailed, res.shard, shardErrorText(res.body, res.status), nil)
 	case errors.Is(err, store.ErrCorrupt):
 		// The payload failed its read-back hash check; the blob is
 		// quarantined and a verdict was never produced. Retrying cannot
 		// help — the bytes are gone.
-		rt.finishJob(rec, in, store.StateFailed, "",
+		rt.finishJob(rec, store.StateFailed, "",
 			"stored payload failed hash verification before dispatch; resubmit", nil)
 	default:
-		rt.retryJob(rec, in, err)
+		rt.retryJob(rec, err)
 	}
 }
 
-// finishJob moves a job to a terminal state: persist, count, unpin the
-// payload blobs, and fire the webhook if one was registered.
-func (rt *Router) finishJob(rec *store.JobRecord, in *ingested, state, shard, errText string, body []byte) {
+// finishJob moves a job to a terminal state: unpin the payload blobs,
+// persist, count, and fire the webhook if one was registered. The unpin
+// comes first so that a poller who sees the terminal state never finds
+// the payload still pinned.
+func (rt *Router) finishJob(rec *store.JobRecord, state, shard, errText string, body []byte) {
+	rt.store.Unpin(rec.FormulaHash)
+	rt.store.Unpin(rec.ProofHash)
 	rec.State = state
 	rec.Shard = shard
 	rec.Error = errText
@@ -156,7 +156,6 @@ func (rt *Router) finishJob(rec *store.JobRecord, in *ingested, state, shard, er
 		rt.log.Error("persisting terminal job state", "job", rec.ID, "err", err)
 	}
 	rt.metrics.ObserveJobState(state, rec.Class)
-	rt.unpin(in)
 	rt.log.Info("job finished", "job", rec.ID, "state", state, "shard", shard,
 		"attempts", rec.Attempts+1)
 	if rec.Webhook != "" {
@@ -167,10 +166,10 @@ func (rt *Router) finishJob(rec *store.JobRecord, in *ingested, state, shard, er
 // retryJob re-queues a job after a transient dispatch failure (no healthy
 // shard, transport error) with jittered exponential backoff, failing it
 // for good once MaxAttempts is spent.
-func (rt *Router) retryJob(rec *store.JobRecord, in *ingested, cause error) {
+func (rt *Router) retryJob(rec *store.JobRecord, cause error) {
 	rec.Attempts++
 	if rec.Attempts >= rt.cfg.MaxAttempts {
-		rt.finishJob(rec, in, store.StateFailed, "",
+		rt.finishJob(rec, store.StateFailed, "",
 			"dispatch attempts exhausted: "+cause.Error(), nil)
 		return
 	}

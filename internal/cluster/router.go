@@ -39,6 +39,7 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -564,76 +565,85 @@ func (rt *Router) backpressure(w http.ResponseWriter, code int, msg string) {
 	rt.writeJSON(w, code, &server.ErrorResponse{Error: msg, RetryAfterSec: sec})
 }
 
+// storePart is one multipart field held in the content store.
+type storePart struct {
+	field string
+	hash  store.Hash
+}
+
 // ingest spools the submission's multipart parts into the content store,
-// pinned. On success both blobs are pinned once; callers own the unpin.
-type ingested struct {
-	formulaHash store.Hash
-	proofHash   store.Hash
-	bytes       int64
-	haveFormula bool
-	haveProof   bool
-}
-
-func (rt *Router) unpin(in *ingested) {
-	if in.haveFormula {
-		rt.store.Unpin(in.formulaHash)
-	}
-	if in.haveProof {
-		rt.store.Unpin(in.proofHash)
-	}
-}
-
-func (rt *Router) ingest(r *http.Request, w http.ResponseWriter) (*ingested, error) {
+// pinned, and returns one part per slot in slot order. A slot names its
+// field, or alternatives such as "trace|lrat"; each part keeps the name it
+// arrived with and is forwarded under it. Parts no slot names are drained.
+// On error nothing stays pinned; on success the caller owns one pin per
+// part (unpin).
+func (rt *Router) ingest(w http.ResponseWriter, r *http.Request, slots ...string) (_ []storePart, err error) {
+	parts := make([]storePart, len(slots))
+	defer func() {
+		if err != nil {
+			rt.unpin(parts)
+		}
+	}()
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	mr, err := r.MultipartReader()
 	if err != nil {
-		return nil, fmt.Errorf("expected multipart/form-data with parts \"formula\" and \"trace\": %w", err)
+		return nil, fmt.Errorf("expected multipart/form-data with parts %q: %w", slots, err)
 	}
-	in := &ingested{}
+	var n int64
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			rt.unpin(in)
 			return nil, fmt.Errorf("reading multipart body: %w", err)
 		}
-		switch part.FormName() {
-		case "formula":
-			if in.haveFormula {
-				rt.unpin(in)
-				return nil, errors.New("duplicate \"formula\" part")
-			}
-			h, n, err := rt.store.PutPinned(part)
-			if err != nil {
-				rt.unpin(in)
-				return nil, err
-			}
-			in.formulaHash, in.haveFormula = h, true
-			in.bytes += n
-		case "trace", "proof":
-			if in.haveProof {
-				rt.unpin(in)
-				return nil, errors.New("duplicate \"trace\" part")
-			}
-			h, n, err := rt.store.PutPinned(part)
-			if err != nil {
-				rt.unpin(in)
-				return nil, err
-			}
-			in.proofHash, in.haveProof = h, true
-			in.bytes += n
-		default:
+		i := slices.IndexFunc(slots, func(slot string) bool {
+			return slices.Contains(strings.Split(slot, "|"), part.FormName())
+		})
+		if i < 0 {
 			io.Copy(io.Discard, part)
+			continue
+		}
+		if parts[i].field != "" {
+			return nil, fmt.Errorf("duplicate %q part", slots[i])
+		}
+		h, size, err := rt.store.PutPinned(part)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = storePart{part.FormName(), h}
+		n += size
+	}
+	for i, p := range parts {
+		if p.field == "" {
+			return nil, fmt.Errorf("missing %q part", slots[i])
 		}
 	}
-	if !in.haveFormula || !in.haveProof {
-		rt.unpin(in)
-		return nil, errors.New("missing \"formula\" or \"trace\" part")
+	rt.metrics.bytesIngested.Add(n)
+	return parts, nil
+}
+
+// unpin releases the pins ingest took; an unfilled slot holds none.
+func (rt *Router) unpin(parts []storePart) {
+	for _, p := range parts {
+		if p.field != "" {
+			rt.store.Unpin(p.hash)
+		}
 	}
-	rt.metrics.bytesIngested.Add(in.bytes)
-	return in, nil
+}
+
+// rejectIngest answers an ingest error as zcheckd answers its own: 413 for
+// a body over MaxBodyBytes, 400 for anything else.
+func (rt *Router) rejectIngest(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		rt.badRequest(w, err.Error())
+		return
+	}
+	rt.metrics.badRequests.Add(1)
+	rt.writeJSON(w, http.StatusRequestEntityTooLarge,
+		&server.ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -702,15 +712,90 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	rt.writeJSON(w, http.StatusOK, &JoinResponse{OK: true, RingSize: rt.ring.Len()})
 }
 
-// dispatchRequest builds one shard-bound POST whose multipart body streams
-// straight out of the content store. The pipe writer re-verifies both
-// blobs' hashes as they stream; a corruption aborts the request with
-// store.ErrCorrupt (never a half-trusted body).
-func (rt *Router) dispatchRequest(ctx context.Context, sh *Shard, rawQuery string, in *ingested) (*http.Response, error) {
+// Errors distinguished by the dispatch path.
+var (
+	errNoShard = errors.New("cluster: no healthy shard available")
+)
+
+// dispatchResult is one completed shard round trip.
+type dispatchResult struct {
+	status int
+	body   []byte
+	shard  string
+}
+
+// dispatch sends the stored parts to the healthy ring owners in order, with
+// avoid moved last, failing over on transport errors and shard
+// backpressure. It returns the first definitive shard answer (2xx or a
+// non-backpressure 4xx/5xx), errNoShard when no owner is healthy, a
+// store.ErrCorrupt-wrapping error when a part failed its read-back
+// verification (no failover can fix that), a "dispatch canceled" error
+// once ctx ends, or else "every ring owner failed" with the last failure.
+func (rt *Router) dispatch(ctx context.Context, owners []string, avoid, rawQuery string, parts []storePart) (*dispatchResult, error) {
+	var shards, last []*Shard
+	for _, id := range owners {
+		sh, ok := rt.shard(id)
+		switch {
+		case !ok || !sh.Healthy():
+		case id == avoid:
+			last = append(last, sh)
+		default:
+			shards = append(shards, sh)
+		}
+	}
+	shards = append(shards, last...)
+	if len(shards) == 0 {
+		return nil, errNoShard
+	}
+	var lastErr error
+	for i, sh := range shards {
+		if i > 0 {
+			rt.metrics.failovers.Add(1)
+		}
+		res, err := rt.post(ctx, sh, rawQuery, parts)
+		switch {
+		case errors.Is(err, store.ErrCorrupt):
+			rt.metrics.corruptRestarts.Add(1)
+			return nil, err
+		case err != nil && ctx.Err() != nil:
+			return nil, fmt.Errorf("dispatch canceled: %w", ctx.Err())
+		case err != nil:
+			rt.log.Warn("shard dispatch failed", "shard", sh.ID, "err", err)
+			lastErr = err
+		case res.status == http.StatusTooManyRequests, res.status == http.StatusServiceUnavailable,
+			res.status == http.StatusBadGateway:
+			// Shard backpressure or mid-drain: the next owner can serve.
+			lastErr = fmt.Errorf("shard %s backpressure (%d)", sh.ID, res.status)
+		default:
+			return res, nil
+		}
+	}
+	return nil, fmt.Errorf("every ring owner failed: %v", lastErr)
+}
+
+// post streams the parts out of the content store as one multipart POST to
+// the shard's /v1/check and reads its answer. The store re-verifies each
+// blob's hash as it streams; a mismatch aborts the request with
+// store.ErrCorrupt, never a half-trusted body.
+func (rt *Router) post(ctx context.Context, sh *Shard, rawQuery string, parts []storePart) (*dispatchResult, error) {
 	pr, pw := io.Pipe()
 	mw := multipart.NewWriter(pw)
 	go func() {
-		err := rt.writeStoreParts(mw, in)
+		var err error
+		for _, p := range parts {
+			var src io.ReadCloser
+			if src, _, err = rt.store.Open(p.hash); err != nil {
+				break
+			}
+			var dst io.Writer
+			if dst, err = mw.CreateFormFile(p.field, p.hash.String()); err == nil {
+				_, err = io.Copy(dst, src)
+			}
+			src.Close()
+			if err != nil {
+				break
+			}
+		}
 		if cerr := mw.Close(); err == nil {
 			err = cerr
 		}
@@ -726,88 +811,14 @@ func (rt *Router) dispatchRequest(ctx context.Context, sh *Shard, rawQuery strin
 		return nil, err
 	}
 	req.Header.Set("Content-Type", mw.FormDataContentType())
-	return rt.dispatchClient.Do(req)
-}
-
-func (rt *Router) writeStoreParts(mw *multipart.Writer, in *ingested) error {
-	for _, p := range []struct {
-		field string
-		hash  store.Hash
-	}{
-		{"formula", in.formulaHash},
-		{"trace", in.proofHash},
-	} {
-		src, _, err := rt.store.Open(p.hash)
-		if err != nil {
-			return err
-		}
-		w, err := mw.CreateFormFile(p.field, p.hash.String())
-		if err == nil {
-			_, err = io.Copy(w, src)
-		}
-		src.Close()
-		if err != nil {
-			return err
-		}
+	resp, err := rt.dispatchClient.Do(req)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// Errors distinguished by the dispatch path.
-var (
-	errNoShard = errors.New("cluster: no healthy shard available")
-)
-
-// dispatchResult is one completed shard round trip.
-type dispatchResult struct {
-	status int
-	body   []byte
-	shard  string
-}
-
-// dispatch routes one stored payload to its ring owners in preference
-// order, failing over on transport errors and shard backpressure. It
-// returns the first definitive shard answer (2xx or a non-backpressure
-// 4xx/5xx), errNoShard when every owner is unavailable, or a
-// store.ErrCorrupt-wrapping error when the payload itself failed its
-// read-back verification (no failover can fix that).
-func (rt *Router) dispatch(ctx context.Context, key store.Hash, rawQuery string, in *ingested) (*dispatchResult, error) {
-	owners := rt.ring.Owners(key, 0)
-	tried := 0
-	for _, id := range owners {
-		sh, ok := rt.shard(id)
-		if !ok || !sh.Healthy() {
-			continue
-		}
-		if tried > 0 {
-			rt.metrics.failovers.Add(1)
-		}
-		tried++
-		resp, err := rt.dispatchRequest(ctx, sh, rawQuery, in)
-		if err != nil {
-			if errors.Is(err, store.ErrCorrupt) {
-				rt.metrics.corruptRestarts.Add(1)
-				return nil, fmt.Errorf("stored payload failed verification: %w", store.ErrCorrupt)
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			rt.log.Warn("shard dispatch failed", "shard", id, "err", err)
-			continue
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			rt.log.Warn("shard response truncated", "shard", id, "err", rerr)
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
-			// Shard backpressure or mid-drain: the next owner can serve.
-			continue
-		default:
-			return &dispatchResult{status: resp.StatusCode, body: body, shard: id}, nil
-		}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
+	if err != nil {
+		return nil, err
 	}
-	return nil, errNoShard
+	return &dispatchResult{status: resp.StatusCode, body: body, shard: sh.ID}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"satcheck"
+	"satcheck/internal/certify"
 	"satcheck/internal/cnf"
 	"satcheck/internal/gen"
 	"satcheck/internal/server"
@@ -101,6 +102,38 @@ func postSync(t testing.TB, ts *httptest.Server, query string, formula, traceByt
 		req.Header.Set(k, v)
 	}
 	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// formPart is one field of a hand-built multipart body.
+type formPart struct {
+	field string
+	data  []byte
+}
+
+// postParts POSTs the parts, in order, as one multipart body to target (a
+// path with its query).
+func postParts(t testing.TB, ts *httptest.Server, target string, parts ...formPart) (*http.Response, []byte) {
+	t.Helper()
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	for _, p := range parts {
+		w, err := mw.CreateFormFile(p.field, p.field+".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(p.data)
+	}
+	mw.Close()
+	resp, err := ts.Client().Post(ts.URL+target, mw.FormDataContentType(), &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +405,67 @@ func TestSyncFailoverOnShardDeath(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return rt.Ring().Len() == 2 })
 }
 
+// TestFailoverPastBackpressuringShard puts a shard that probes healthy
+// but answers every check with 503 first in the payload's owner list. The
+// sync check and the kernel certification pipeline must each fail over
+// past it, counting one failover, and no answer may come from it.
+func TestFailoverPastBackpressuringShard(t *testing.T) {
+	formula, traceBytes, dratBytes := dualPayload(t, gen.Pigeonhole(4))
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			json.NewEncoder(w).Encode(&server.HealthResponse{Status: "ok"})
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer stub.Close()
+	rt, ts := newTestRouter(t, Config{Shards: 2})
+
+	// Sync checks and the kernel pipeline share this key; keep the first
+	// candidate ID the ring puts at the head of its owners.
+	key := JobKey(store.HashBytes(formula), store.HashBytes(traceBytes))
+	stubID := ""
+	for i := 0; stubID == "" && i < 100; i++ {
+		id := fmt.Sprintf("stub-%d", i)
+		if err := rt.JoinShard(id, stub.URL); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Ring().Owners(key, 0)[0] == id {
+			stubID = id
+		} else {
+			rt.RemoveShard(id)
+		}
+	}
+	if stubID == "" {
+		t.Fatal("no candidate ID heads the owner list")
+	}
+
+	resp, data := postSync(t, ts, "", formula, traceBytes, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Zcheckd-Shard") == stubID {
+		t.Fatalf("sync check: status %d from %q: %s", resp.StatusCode, resp.Header.Get("X-Zcheckd-Shard"), data)
+	}
+	if n := rt.Metrics().failovers.Load(); n != 1 {
+		t.Fatalf("failovers after the sync check = %d, want 1", n)
+	}
+
+	resp, data = postDual(t, ts, "?policy=dual", map[string][]byte{
+		"formula": formula, "trace": traceBytes, "drat": dratBytes,
+	})
+	bundle, err := certify.ParseBundle(data)
+	if resp.StatusCode != http.StatusOK || err != nil || !bundle.Certified() {
+		t.Fatalf("certification: status %d (%v): %s", resp.StatusCode, err, data)
+	}
+	for _, v := range bundle.Checkers {
+		if v.Shard == stubID {
+			t.Errorf("%s verdict came from the backpressuring shard", v.Pipeline)
+		}
+	}
+	if n := rt.Metrics().failovers.Load(); n != 2 {
+		t.Fatalf("failovers after the certification = %d, want 2", n)
+	}
+}
+
 // TestTenantQuota429 drives one tenant over its token bucket and expects
 // 429 with Retry-After while another tenant still passes.
 func TestTenantQuota429(t *testing.T) {
@@ -600,7 +694,80 @@ func TestBadRequestsAtRouter(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing part: status %d, want 400", resp.StatusCode)
 	}
+	// The router takes exactly zcheckd's fields: "proof" is not one.
+	resp, data := postParts(t, ts, "/v1/check", formPart{"formula", formula}, formPart{"proof", traceBytes})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("proof part: status %d, want 400: %s", resp.StatusCode, data)
+	}
 	_ = traceBytes
+}
+
+// TestRouterBodyTooLarge requires zcheckd's 413 from every submission
+// endpoint of the router, counted as a bad request.
+func TestRouterBodyTooLarge(t *testing.T) {
+	rt, ts := newTestRouter(t, Config{Shards: 1, MaxBodyBytes: 512})
+	big := formPart{"formula", bytes.Repeat([]byte("c padding\n"), 100)}
+	for _, target := range []string{"/v1/check", "/v1/jobs", "/v1/check?policy=dual"} {
+		resp, data := postParts(t, ts, target, big)
+		var er server.ErrorResponse
+		json.Unmarshal(data, &er)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Error != "request body exceeds 512 bytes" {
+			t.Errorf("%s: status %d: %s", target, resp.StatusCode, data)
+		}
+	}
+	if n := rt.Metrics().badRequests.Load(); n != 3 {
+		t.Errorf("bad requests = %d, want 3", n)
+	}
+}
+
+// TestIngestReleasesPins ends a submission every way it can end, refused
+// mid-ingest or answered, and then overflows the store quota: the formula
+// blob must be evicted, since a leaked pin would keep it resident.
+func TestIngestReleasesPins(t *testing.T) {
+	formula, traceBytes, dratBytes := dualPayload(t, gen.Pigeonhole(4))
+	const quota, limit = 4 << 10, 8 << 10
+	rt, ts := newTestRouter(t, Config{Shards: 1, StoreQuotaBytes: quota, MaxBodyBytes: limit})
+	f := formPart{"formula", formula}
+	refused := func(target string, parts ...formPart) {
+		t.Helper()
+		if resp, data := postParts(t, ts, target, parts...); resp.StatusCode/100 != 4 {
+			t.Fatalf("%s: status %d, want a 4xx refusal: %s", target, resp.StatusCode, data)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"duplicate part", func() { refused("/v1/check", f, f) }},
+		{"missing part", func() { refused("/v1/check?policy=dual", f, formPart{"trace", traceBytes}) }},
+		{"oversize body", func() { refused("/v1/jobs", f, formPart{"trace", make([]byte, limit)}) }},
+		{"sync check", func() {
+			if resp, data := postSync(t, ts, "", formula, traceBytes, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+		}},
+		{"dual certification", func() {
+			resp, data := postDual(t, ts, "?policy=dual", map[string][]byte{
+				"formula": formula, "trace": traceBytes, "drat": dratBytes,
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+		}},
+		{"async job", func() {
+			if js := pollJob(t, ts, submitJob(t, ts, "", formula, traceBytes), 30*time.Second); js.State != store.StateDone {
+				t.Fatalf("job ended %s: %s", js.State, js.Error)
+			}
+		}},
+	} {
+		tc.run()
+		if _, _, err := rt.Store().PutBytes(bytes.Repeat([]byte{'x'}, quota+1)); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Store().Has(store.HashBytes(formula)) {
+			t.Errorf("%s: formula blob outlived the quota; its pin leaked", tc.name)
+		}
+	}
 }
 
 // waitFor polls cond until true or the deadline fails the test.

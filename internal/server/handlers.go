@@ -145,7 +145,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobsAccepted.Add(1)
-	s.metrics.queueDepth.Add(1)
 	s.log.Info("check accepted", "job", j.id, "method", opts.Method.String(),
 		"formula_bytes", ing.formulaBytes, "trace_bytes", ing.traceBytes)
 

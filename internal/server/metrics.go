@@ -10,9 +10,9 @@ import (
 )
 
 // Metrics is the daemon's observability surface, hand-rolled in the
-// Prometheus text exposition format (stdlib only — no client library). All
-// fields are atomics; the handlers and workers update them lock-free and
-// /metrics renders a consistent-enough snapshot.
+// Prometheus text exposition format (stdlib only — no client library). The
+// handlers and workers update its atomics lock-free and /metrics renders a
+// consistent-enough snapshot; the queue depth alone is read from the queue.
 type Metrics struct {
 	// Counters.
 	jobsAccepted  atomic.Int64 // admitted to the queue
@@ -56,8 +56,9 @@ type Metrics struct {
 	// signal.
 	certifications [len(certOutcomeLabels)]atomic.Int64
 
-	// Gauges.
-	queueDepth  atomic.Int64
+	// Gauges. queueLen is bound to the queue's Depth by New, so the gauge
+	// and /healthz read the same number.
+	queueLen    func() int
 	jobsRunning atomic.Int64
 	// checkerParallelism is the effective worker count of the most recent
 	// parallel-method check (0 until one runs).
@@ -202,7 +203,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	for i, label := range certOutcomeLabels {
 		fmt.Fprintf(w, "zcheckd_certifications_total{outcome=%q} %d\n", label, m.certifications[i].Load())
 	}
-	gauge("zcheckd_queue_depth", "Jobs waiting in the queue.", m.queueDepth.Load())
+	gauge("zcheckd_queue_depth", "Jobs waiting in the queue.", int64(m.queueLen()))
 	gauge("zcheckd_jobs_running", "Jobs currently being checked by workers.", m.jobsRunning.Load())
 	gauge("zcheckd_checker_parallelism", "Effective worker count of the most recent parallel-method check.", m.checkerParallelism.Load())
 	gauge("zcheckd_peak_mem_words", "Memory-model peak (4-byte words) of the last completed check.", m.peakMemWords.Load())

@@ -48,7 +48,6 @@ func (p *workerPool) worker() {
 }
 
 func (p *workerPool) run(j *job) {
-	p.metrics.queueDepth.Add(-1)
 	p.metrics.jobsRunning.Add(1)
 	defer p.metrics.jobsRunning.Add(-1)
 

@@ -123,6 +123,7 @@ func New(cfg Config) *Server {
 		queue:   newJobQueue(cfg.QueueSize),
 		log:     cfg.Logger,
 	}
+	s.metrics.queueLen = s.queue.Depth
 	s.pool = startPool(cfg.Workers, s.queue, s.cache, s.metrics, s.log)
 	s.certSem = make(chan struct{}, cfg.Workers)
 	s.certSigner = cfg.CertifySigner

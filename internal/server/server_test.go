@@ -252,7 +252,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	// Second request: sits in the queue.
 	wg.Add(1)
 	go send()
-	waitFor(t, func() bool { return s.metrics.queueDepth.Load() == 1 })
+	waitFor(t, func() bool { return s.queue.Depth() == 1 })
 
 	// Third request: queue full — 429 with Retry-After.
 	ct, body := multipartBody(t, formula, traceBytes)
@@ -269,6 +269,26 @@ func TestBackpressureQueueFull(t *testing.T) {
 	}
 	if got := s.metrics.jobsRejected.Load(); got != 1 {
 		t.Errorf("jobsRejected = %d, want 1", got)
+	}
+	// The gauge and /healthz both read the one queued request.
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(mdata), "\nzcheckd_queue_depth 1\n") {
+		t.Errorf("/metrics does not read zcheckd_queue_depth 1:\n%s", mdata)
+	}
+	hresp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthResponse
+	err = json.NewDecoder(hresp.Body).Decode(&h)
+	hresp.Body.Close()
+	if err != nil || h.QueueDepth != 1 {
+		t.Errorf("/healthz queue_depth = %d (%v), want 1", h.QueueDepth, err)
 	}
 
 	close(gate)
