@@ -87,10 +87,12 @@ bench-cluster:
 # sync/async traffic with one SIGTERM-style drain), and every branch of the
 # router's one shard round trip — failover past a dead or backpressuring
 # shard, a corrupt blob on the sync and dual paths, the 413, and pin
-# release on every way a submission ends — all under the race detector.
-# CI runs this as its own job.
+# release on every way a submission ends — plus a dispatch over a part
+# already quarantined, a drain that waits out a retry backoff, and the
+# router's golden /metrics text, all under the race detector. CI runs
+# this as its own job.
 cluster-smoke:
-	$(GO) test -race -v -run 'TestClusterChaosSoak|TestClusterSmokeDrain|TestCorruptBlobNeverDispatched|TestSyncFailoverOnShardDeath|TestFailoverPastBackpressuringShard|TestClusterDualCorruptBlob|TestRouterBodyTooLarge|TestIngestReleasesPins' ./internal/cluster/
+	$(GO) test -race -v -run 'TestClusterChaosSoak|TestClusterSmokeDrain|TestCorruptBlobNeverDispatched|TestSyncFailoverOnShardDeath|TestFailoverPastBackpressuringShard|TestClusterDualCorruptBlob|TestRouterBodyTooLarge|TestIngestReleasesPins|TestDispatchAfterQuarantine|TestShutdownWaitsOutRetryBackoff|TestRouterMetricsGolden' ./internal/cluster/
 
 # The suite's UNSAT instances zsat must solve AND dually certify end to end
 # (exit 20 = certified; anything else fails the smoke). The conformance

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"time"
 
 	"satcheck/internal/server"
@@ -30,10 +29,6 @@ type ShardHealth struct {
 	Healthy bool   `json:"healthy"`
 	OnRing  bool   `json:"on_ring"`
 	Local   bool   `json:"local"`
-}
-
-func sortShardHealth(s []ShardHealth) {
-	sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
 }
 
 // JoinRequest is the body of POST /cluster/join and /cluster/leave.

@@ -189,10 +189,11 @@ func TestClusterChaosSoak(t *testing.T) {
 		defer close(chaosDone)
 		for round := 0; round < 2; round++ {
 			time.Sleep(120 * time.Millisecond)
-			victim := rt.ShardIDs()[0]
-			for _, id := range rt.ShardIDs() {
-				if sh, ok := rt.shard(id); ok && sh.Healthy() {
-					victim = id
+			shards := rt.shardTable()
+			victim := shards[0].ID
+			for _, sh := range shards {
+				if sh.Healthy {
+					victim = sh.ID
 					break
 				}
 			}
@@ -260,7 +261,7 @@ func TestClusterSmokeDrain(t *testing.T) {
 		}
 		if i == 5 {
 			// Mid-load graceful drain — the SIGTERM path.
-			victim := rt.ShardIDs()[0]
+			victim := rt.shardTable()[0].ID
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			if err := rt.DrainShard(ctx, victim); err != nil {
 				t.Errorf("drain %s: %v", victim, err)

@@ -16,12 +16,16 @@ import (
 // dispatchQueue is the async dispatcher's two-class priority queue:
 // interactive job IDs always pop before batch ones. Items are IDs, not
 // records — the persisted JobRecord is the source of truth, reloaded at
-// run time, so a queue entry surviving a state change is harmless.
+// run time, so a queue entry surviving a state change is harmless. The
+// same lock counts the jobs a worker holds and those waiting out a retry
+// backoff, so idle sees every job on its way to a terminal state.
 type dispatchQueue struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	interactive []string
 	batch       []string
+	running     int // popped, attempt not yet done
+	backoff     int // waiting to be pushed back by pushAfter
 	closed      bool
 }
 
@@ -47,25 +51,45 @@ func (q *dispatchQueue) push(id, class string) {
 	q.cond.Signal()
 }
 
+// pushAfter pushes a job ID once delay has passed (a retry's backoff).
+func (q *dispatchQueue) pushAfter(id, class string, delay time.Duration) {
+	q.mu.Lock()
+	q.backoff++
+	q.mu.Unlock()
+	time.AfterFunc(delay, func() {
+		q.push(id, class)
+		q.mu.Lock()
+		q.backoff--
+		q.mu.Unlock()
+	})
+}
+
 // pop blocks for the next job ID, interactive first; ok is false once the
-// queue is closed and empty.
+// queue is closed and empty. The caller reports the attempt's end to done.
 func (q *dispatchQueue) pop() (string, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.interactive) == 0 && len(q.batch) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.interactive) > 0 {
-		id := q.interactive[0]
-		q.interactive = q.interactive[1:]
-		return id, true
+	var id string
+	switch {
+	case len(q.interactive) > 0:
+		id, q.interactive = q.interactive[0], q.interactive[1:]
+	case len(q.batch) > 0:
+		id, q.batch = q.batch[0], q.batch[1:]
+	default:
+		return "", false
 	}
-	if len(q.batch) > 0 {
-		id := q.batch[0]
-		q.batch = q.batch[1:]
-		return id, true
-	}
-	return "", false
+	q.running++
+	return id, true
+}
+
+// done ends the attempt of a job pop returned.
+func (q *dispatchQueue) done() {
+	q.mu.Lock()
+	q.running--
+	q.mu.Unlock()
 }
 
 func (q *dispatchQueue) depth() int {
@@ -74,7 +98,18 @@ func (q *dispatchQueue) depth() int {
 	return len(q.interactive) + len(q.batch)
 }
 
-func (q *dispatchQueue) empty() bool { return q.depth() == 0 }
+func (q *dispatchQueue) runningJobs() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.running
+}
+
+// idle reports that no job is queued, running or waiting out a backoff.
+func (q *dispatchQueue) idle() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.interactive)+len(q.batch)+q.running+q.backoff == 0
+}
 
 func (q *dispatchQueue) close() {
 	q.mu.Lock()
@@ -91,9 +126,8 @@ func (rt *Router) dispatchWorker() {
 		if !ok {
 			return
 		}
-		rt.jobsRunning.Add(1)
 		rt.runJob(id)
-		rt.jobsRunning.Add(-1)
+		rt.queue.done()
 	}
 }
 
@@ -180,8 +214,7 @@ func (rt *Router) retryJob(rec *store.JobRecord, cause error) {
 	delay := retryDelay(rt.cfg.RetryBase, rec.Attempts)
 	rt.log.Info("job retry scheduled", "job", rec.ID, "attempt", rec.Attempts,
 		"delay", delay, "cause", cause)
-	id, class := rec.ID, rec.Class
-	time.AfterFunc(delay, func() { rt.queue.push(id, class) })
+	rt.queue.pushAfter(rec.ID, rec.Class, delay)
 }
 
 // retryDelay is base·2^(attempt-1) with ±50% jitter, capped at 30s — the

@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 
+	"satcheck/internal/metrics"
+	"satcheck/internal/server"
 	"satcheck/internal/store"
 )
 
@@ -32,19 +32,10 @@ func classIndex(class string) int {
 // and queued == done + failed once the cluster is idle.
 var jobStateLabels = [...]string{store.StateQueued, store.StateRunning, store.StateDone, store.StateFailed}
 
-func jobStateIndex(state string) int {
-	for i, s := range jobStateLabels {
-		if s == state {
-			return i
-		}
-	}
-	return -1
-}
-
-// Metrics is the router's observability surface, in the same hand-rolled
-// Prometheus text format as the per-shard server metrics. Per-shard gauges
-// are rendered from the live shard table at scrape time; everything else
-// is lock-free atomics.
+// Metrics is the router's observability surface, rendered like the
+// per-shard server metrics by internal/metrics. The ring, the store and
+// the per-shard health gauge are read from the router at scrape time;
+// everything else is lock-free atomics.
 type Metrics struct {
 	// Sync proxy path.
 	syncChecks    atomic.Int64 // proxied synchronous checks (any verdict)
@@ -66,67 +57,24 @@ type Metrics struct {
 	bytesIngested atomic.Int64
 	badRequests   atomic.Int64
 
-	// certifications counts completed policy=dual certifications merged at
-	// the router, by outcome (certified=0, fail=1). Fail-closed means both
-	// cells are 200-level answers.
-	certifications [2]atomic.Int64
+	// Certifications counts the policy=dual certifications merged at the
+	// router.
+	server.Certifications
 
-	// shardHealth renders zcheckd_shard_healthy; the router updates it on
-	// every probe sweep and membership change.
-	mu          sync.Mutex
-	shardHealth map[string]bool
-
-	ringRebalances func() int64 // bound to Ring.Rebalances at construction
-	storeStats     func() store.Stats
-}
-
-func newMetrics(ring *Ring, st *store.Store) *Metrics {
-	return &Metrics{
-		shardHealth:    make(map[string]bool),
-		ringRebalances: ring.Rebalances,
-		storeStats:     st.Stats,
-	}
-}
-
-// certOutcomeLabels are the {outcome=...} label values of
-// zcheckd_router_certifications_total.
-var certOutcomeLabels = [...]string{"certified", "fail"}
-
-// ObserveCertification records one completed dual-policy certification
-// merged at the router.
-func (m *Metrics) ObserveCertification(certified bool) {
-	i := 1
-	if certified {
-		i = 0
-	}
-	m.certifications[i].Add(1)
+	rt *Router // its ring, store and shard table are read at scrape time
 }
 
 // ObserveJobState records a transition into state for the job class.
 func (m *Metrics) ObserveJobState(state, class string) {
-	if i := jobStateIndex(state); i >= 0 {
+	if i := slices.Index(jobStateLabels[:], state); i >= 0 {
 		m.jobStates[i][classIndex(class)].Add(1)
 	}
-}
-
-// SetShardHealth records a shard's probe outcome for the health gauge.
-func (m *Metrics) SetShardHealth(shard string, healthy bool) {
-	m.mu.Lock()
-	m.shardHealth[shard] = healthy
-	m.mu.Unlock()
-}
-
-// DropShard removes a departed shard from the health gauge.
-func (m *Metrics) DropShard(shard string) {
-	m.mu.Lock()
-	delete(m.shardHealth, shard)
-	m.mu.Unlock()
 }
 
 // JobsTotal reports the lifetime transition count into state across all
 // classes (tests and the drain path use it).
 func (m *Metrics) JobsTotal(state string) int64 {
-	i := jobStateIndex(state)
+	i := slices.Index(jobStateLabels[:], state)
 	if i < 0 {
 		return 0
 	}
@@ -139,58 +87,38 @@ func (m *Metrics) JobsTotal(state string) int64 {
 
 // WritePrometheus renders the router metrics.
 func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("zcheckd_router_sync_checks_total", "Synchronous checks proxied to shards.", m.syncChecks.Load())
-	counter("zcheckd_router_sync_rejected_total", "Synchronous checks turned away (draining, quota, or no healthy shard).", m.syncRejected.Load())
-	counter("zcheckd_quota_rejected_total", "Requests rejected by per-tenant token buckets.", m.quotaRejected.Load())
-	counter("zcheckd_failovers_total", "Dispatch attempts moved to the next ring owner after a shard error.", m.failovers.Load())
-	counter("zcheckd_job_retries_total", "Async job re-dispatches after a failed attempt.", m.retries.Load())
-	counter("zcheckd_webhooks_delivered_total", "Webhook callbacks delivered.", m.webhooksOK.Load())
-	counter("zcheckd_webhooks_failed_total", "Webhook callbacks that could not be delivered.", m.webhooksFailed.Load())
-	counter("zcheckd_jobs_recovered_total", "Non-terminal jobs re-queued from the store at startup.", m.jobsRecovered.Load())
-	counter("zcheckd_store_corrupt_dispatches_total", "Dispatches aborted by a corrupt blob (re-ingest required).", m.corruptRestarts.Load())
-	counter("zcheckd_router_bytes_ingested_total", "Formula and proof bytes ingested into the store.", m.bytesIngested.Load())
-	fmt.Fprintf(w, "# HELP zcheckd_router_certifications_total Completed policy=dual certifications merged at the router, by outcome.\n# TYPE zcheckd_router_certifications_total counter\n")
-	for i, label := range certOutcomeLabels {
-		fmt.Fprintf(w, "zcheckd_router_certifications_total{outcome=%q} %d\n", label, m.certifications[i].Load())
-	}
-	counter("zcheckd_router_bad_requests_total", "Malformed submissions rejected at the router.", m.badRequests.Load())
-	counter("zcheckd_ring_rebalances_total", "Consistent-hash ring membership changes (each remaps ~1/N of the key space).", m.ringRebalances())
-
-	fmt.Fprintf(w, "# HELP zcheckd_jobs_total Async job state transitions by state and class.\n# TYPE zcheckd_jobs_total counter\n")
+	p := metrics.NewWriter(w)
+	p.Counter("zcheckd_router_sync_checks_total", "Synchronous checks proxied to shards.", m.syncChecks.Load())
+	p.Counter("zcheckd_router_sync_rejected_total", "Synchronous checks turned away (draining, quota, or no healthy shard).", m.syncRejected.Load())
+	p.Counter("zcheckd_quota_rejected_total", "Requests rejected by per-tenant token buckets.", m.quotaRejected.Load())
+	p.Counter("zcheckd_failovers_total", "Dispatch attempts moved to the next ring owner after a shard error.", m.failovers.Load())
+	p.Counter("zcheckd_job_retries_total", "Async job re-dispatches after a failed attempt.", m.retries.Load())
+	p.Counter("zcheckd_webhooks_delivered_total", "Webhook callbacks delivered.", m.webhooksOK.Load())
+	p.Counter("zcheckd_webhooks_failed_total", "Webhook callbacks that could not be delivered.", m.webhooksFailed.Load())
+	p.Counter("zcheckd_jobs_recovered_total", "Non-terminal jobs re-queued from the store at startup.", m.jobsRecovered.Load())
+	p.Counter("zcheckd_store_corrupt_dispatches_total", "Dispatches aborted by a corrupt blob (re-ingest required).", m.corruptRestarts.Load())
+	p.Counter("zcheckd_router_bytes_ingested_total", "Formula and proof bytes ingested into the store.", m.bytesIngested.Load())
+	m.WriteCertifications(p, "zcheckd_router_certifications_total", "Completed policy=dual certifications merged at the router, by outcome.")
+	p.Counter("zcheckd_router_bad_requests_total", "Malformed submissions rejected at the router.", m.badRequests.Load())
+	p.Counter("zcheckd_ring_rebalances_total", "Consistent-hash ring membership changes (each remaps ~1/N of the key space).", m.rt.ring.Rebalances())
+	p.Family("zcheckd_jobs_total", "counter", "Async job state transitions by state and class.")
 	for si, state := range jobStateLabels {
 		for ci, class := range classLabels {
-			fmt.Fprintf(w, "zcheckd_jobs_total{state=%q,class=%q} %d\n",
-				state, class, m.jobStates[si][ci].Load())
+			p.Sample(m.jobStates[si][ci].Load(), "state", state, "class", class)
 		}
 	}
-
-	m.mu.Lock()
-	shards := make([]string, 0, len(m.shardHealth))
-	for s := range m.shardHealth {
-		shards = append(shards, s)
-	}
-	sort.Strings(shards)
-	fmt.Fprintf(w, "# HELP zcheckd_shard_healthy Shard health as seen by the router prober (1 = on the ring).\n# TYPE zcheckd_shard_healthy gauge\n")
-	for _, s := range shards {
-		v := 0
-		if m.shardHealth[s] {
-			v = 1
+	p.Family("zcheckd_shard_healthy", "gauge", "Shard health as seen by the router prober (1 = on the ring).")
+	for _, sh := range m.rt.shardTable() {
+		on := int64(0)
+		if sh.OnRing {
+			on = 1
 		}
-		fmt.Fprintf(w, "zcheckd_shard_healthy{shard=%q} %d\n", s, v)
+		p.Sample(on, "shard", sh.ID)
 	}
-	m.mu.Unlock()
-
-	st := m.storeStats()
-	gauge("zcheckd_store_blobs", "Content-addressed blobs resident in the store.", int64(st.Blobs))
-	gauge("zcheckd_store_bytes", "Bytes resident in the content-addressed store.", st.Bytes)
-	counter("zcheckd_store_evictions_total", "Blobs evicted by the LRU disk quota.", st.Evictions)
-	counter("zcheckd_store_corruptions_total", "Blobs quarantined after a read-side hash mismatch.", st.Corruptions)
-	counter("zcheckd_store_dedups_total", "Blob writes answered by an already-resident copy.", st.Dedups)
+	st := m.rt.store.Stats()
+	p.Gauge("zcheckd_store_blobs", "Content-addressed blobs resident in the store.", int64(st.Blobs))
+	p.Gauge("zcheckd_store_bytes", "Bytes resident in the content-addressed store.", st.Bytes)
+	p.Counter("zcheckd_store_evictions_total", "Blobs evicted by the LRU disk quota.", st.Evictions)
+	p.Counter("zcheckd_store_corruptions_total", "Blobs quarantined after a read-side hash mismatch.", st.Corruptions)
+	p.Counter("zcheckd_store_dedups_total", "Blob writes answered by an already-resident copy.", st.Dedups)
 }

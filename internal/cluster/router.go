@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"satcheck/internal/certify"
+	"satcheck/internal/metrics"
 	"satcheck/internal/server"
 	"satcheck/internal/store"
 )
@@ -167,8 +168,7 @@ type Router struct {
 	// if ephemeral keygen failed; dual requests then answer 500).
 	certSigner certify.Signer
 
-	draining    atomic.Bool
-	jobsRunning atomic.Int64
+	draining atomic.Bool
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -187,12 +187,10 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring := NewRing(cfg.Replicas)
 	rt := &Router{
 		cfg:            cfg,
 		store:          st,
-		ring:           ring,
-		metrics:        newMetrics(ring, st),
+		ring:           NewRing(cfg.Replicas),
 		quotas:         newTenantBuckets(cfg.TenantRate, cfg.TenantBurst),
 		queue:          newDispatchQueue(),
 		log:            cfg.Logger,
@@ -201,6 +199,7 @@ func New(cfg Config) (*Router, error) {
 		dispatchClient: &http.Client{Timeout: cfg.DispatchTimeout},
 		stopProbe:      make(chan struct{}),
 	}
+	rt.metrics = &Metrics{rt: rt}
 	rt.certSigner = cfg.CertifySigner
 	if rt.certSigner == nil {
 		signer, err := certify.NewEd25519Signer()
@@ -227,7 +226,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /cluster/join", rt.handleJoin)
 	rt.mux.HandleFunc("POST /cluster/leave", rt.handleLeave)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.mux.HandleFunc("GET /metrics", metrics.Handler(rt.metrics.WritePrometheus))
 
 	for i := 0; i < cfg.DispatchWorkers; i++ {
 		rt.workerWG.Add(1)
@@ -285,7 +284,6 @@ func (rt *Router) AddLocalShard() (string, error) {
 	rt.shards[id] = &shardState{sh: sh, inRing: true}
 	rt.mu.Unlock()
 	rt.ring.Add(id)
-	rt.metrics.SetShardHealth(id, true)
 	rt.log.Info("shard spawned", "shard", id, "url", sh.URL)
 	return id, nil
 }
@@ -305,7 +303,6 @@ func (rt *Router) JoinShard(id, shardURL string) error {
 	}
 	rt.shards[id] = &shardState{sh: sh}
 	rt.mu.Unlock()
-	rt.metrics.SetShardHealth(id, false)
 	rt.probeOne(id)
 	rt.log.Info("shard joined", "shard", id, "url", shardURL)
 	return nil
@@ -324,7 +321,6 @@ func (rt *Router) RemoveShard(id string) {
 	}
 	rt.mu.Unlock()
 	if ok {
-		rt.metrics.DropShard(id)
 		rt.log.Info("shard removed", "shard", id)
 	}
 }
@@ -359,18 +355,6 @@ func (rt *Router) KillShard(id string) error {
 	return err
 }
 
-// ShardIDs lists the registered shards, sorted.
-func (rt *Router) ShardIDs() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]string, 0, len(rt.shards))
-	for id := range rt.shards {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // shard looks up one registered shard.
 func (rt *Router) shard(id string) (*Shard, bool) {
 	rt.mu.Lock()
@@ -380,6 +364,25 @@ func (rt *Router) shard(id string) (*Shard, bool) {
 		return nil, false
 	}
 	return st.sh, true
+}
+
+// shardTable lists the registered shards, sorted by ID: the /healthz table
+// and the source of zcheckd_shard_healthy.
+func (rt *Router) shardTable() []ShardHealth {
+	rt.mu.Lock()
+	shards := make([]ShardHealth, 0, len(rt.shards))
+	for id, st := range rt.shards {
+		shards = append(shards, ShardHealth{
+			ID:      id,
+			URL:     st.sh.URL,
+			Healthy: st.sh.Healthy(),
+			OnRing:  st.inRing,
+			Local:   st.sh.Local(),
+		})
+	}
+	rt.mu.Unlock()
+	slices.SortFunc(shards, func(a, b ShardHealth) int { return strings.Compare(a.ID, b.ID) })
+	return shards
 }
 
 // probeLoop sweeps shard health every ProbeInterval.
@@ -446,7 +449,6 @@ func (rt *Router) probeOne(id string) {
 	}
 	rt.mu.Unlock()
 	if changed {
-		rt.metrics.SetShardHealth(id, healthy)
 		rt.log.Info("shard health transition", "shard", id, "healthy", healthy,
 			"ring_size", rt.ring.Len())
 	}
@@ -507,10 +509,9 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		err = rt.httpSrv.Shutdown(ctx)
 	}
 
-	// Wait for the async queue to go idle (jobs reach terminal states), or
-	// for the deadline; either way the workers then stop.
-	idle := func() bool { return rt.queue.empty() && rt.jobsRunning.Load() == 0 }
-	for !idle() {
+	// Wait until no async job is queued, running or waiting out a retry
+	// backoff, or for the deadline; either way the workers then stop.
+	for !rt.queue.idle() {
 		select {
 		case <-ctx.Done():
 			if err == nil {
@@ -653,32 +654,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	rt.mu.Lock()
-	shards := make([]ShardHealth, 0, len(rt.shards))
-	for id, st := range rt.shards {
-		shards = append(shards, ShardHealth{
-			ID:      id,
-			URL:     st.sh.URL,
-			Healthy: st.sh.Healthy(),
-			OnRing:  st.inRing,
-			Local:   st.sh.Local(),
-		})
-	}
-	rt.mu.Unlock()
-	sortShardHealth(shards)
 	rt.writeJSON(w, code, &RouterHealth{
 		Status:      status,
 		RingSize:    rt.ring.Len(),
-		Shards:      shards,
+		Shards:      rt.shardTable(),
 		JobsQueued:  rt.queue.depth(),
-		JobsRunning: int(rt.jobsRunning.Load()),
+		JobsRunning: rt.queue.runningJobs(),
 		StoreBlobs:  rt.store.Stats().Blobs,
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.WritePrometheus(w)
 }
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -729,8 +712,9 @@ type dispatchResult struct {
 // backpressure. It returns the first definitive shard answer (2xx or a
 // non-backpressure 4xx/5xx), errNoShard when no owner is healthy, a
 // store.ErrCorrupt-wrapping error when a part failed its read-back
-// verification (no failover can fix that), a "dispatch canceled" error
-// once ctx ends, or else "every ring owner failed" with the last failure.
+// verification or is gone from the store (no failover can fix either), a
+// "dispatch canceled" error once ctx ends, or else "every ring owner
+// failed" with the last failure.
 func (rt *Router) dispatch(ctx context.Context, owners []string, avoid, rawQuery string, parts []storePart) (*dispatchResult, error) {
 	var shards, last []*Shard
 	for _, id := range owners {
@@ -776,7 +760,8 @@ func (rt *Router) dispatch(ctx context.Context, owners []string, avoid, rawQuery
 // post streams the parts out of the content store as one multipart POST to
 // the shard's /v1/check and reads its answer. The store re-verifies each
 // blob's hash as it streams; a mismatch aborts the request with
-// store.ErrCorrupt, never a half-trusted body.
+// store.ErrCorrupt, never a half-trusted body. So does a part missing from
+// the store: a pinned blob leaves it only through that quarantine.
 func (rt *Router) post(ctx context.Context, sh *Shard, rawQuery string, parts []storePart) (*dispatchResult, error) {
 	pr, pw := io.Pipe()
 	mw := multipart.NewWriter(pw)
@@ -785,6 +770,9 @@ func (rt *Router) post(ctx context.Context, sh *Shard, rawQuery string, parts []
 		for _, p := range parts {
 			var src io.ReadCloser
 			if src, _, err = rt.store.Open(p.hash); err != nil {
+				if errors.Is(err, store.ErrNotFound) {
+					err = fmt.Errorf("%w: %w", store.ErrCorrupt, err)
+				}
 				break
 			}
 			var dst io.Writer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -767,6 +768,97 @@ func TestIngestReleasesPins(t *testing.T) {
 		if rt.Store().Has(store.HashBytes(formula)) {
 			t.Errorf("%s: formula blob outlived the quota; its pin leaked", tc.name)
 		}
+	}
+}
+
+// TestDispatchAfterQuarantine dispatches parts whose trace blob an earlier
+// dispatch quarantined. A pinned blob leaves the store only that way, so
+// the walk must end at once as it does for a corrupt read: no failover
+// past shards that are fine, one corrupt dispatch counted, and an async
+// job over the blob fails on its first attempt without a retry.
+func TestDispatchAfterQuarantine(t *testing.T) {
+	formula, traceBytes := unsatPayload(t, gen.Pigeonhole(4))
+	rt, _ := newTestRouter(t, Config{Shards: 3})
+	var parts []storePart
+	for _, p := range []formPart{{"formula", formula}, {"trace", traceBytes}} {
+		h, _, err := rt.Store().PutPinned(bytes.NewReader(p.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, storePart{p.field, h})
+	}
+	corruptBlobOnDisk(t, rt.Store(), parts[1].hash)
+	owners := rt.Ring().Owners(JobKey(parts[0].hash, parts[1].hash), 0)
+	for i := 1; i <= 2; i++ {
+		if _, err := rt.dispatch(context.Background(), owners, "", "", parts); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("dispatch %d: err %v, want store.ErrCorrupt", i, err)
+		}
+		if n := rt.Metrics().failovers.Load(); n != 0 {
+			t.Fatalf("dispatch %d: %d failovers, want 0", i, n)
+		}
+		if n := rt.Metrics().corruptRestarts.Load(); n != int64(i) {
+			t.Fatalf("dispatch %d: %d corrupt dispatches, want %d", i, n, i)
+		}
+	}
+	if rt.Store().Has(parts[1].hash) {
+		t.Fatal("corrupt blob still resident")
+	}
+
+	now := time.Now().UTC()
+	rec := &store.JobRecord{ID: store.NewJobID(), Class: ClassBatch, FormulaHash: parts[0].hash,
+		ProofHash: parts[1].hash, State: store.StateQueued, Created: now, Updated: now}
+	if err := rt.Store().PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	rt.queue.push(rec.ID, rec.Class)
+	waitFor(t, 10*time.Second, func() bool {
+		got, err := rt.Store().GetJob(rec.ID)
+		return err == nil && got.Terminal()
+	})
+	got, _ := rt.Store().GetJob(rec.ID)
+	const want = "stored payload failed hash verification before dispatch; resubmit"
+	if got.State != store.StateFailed || got.Error != want || got.Attempts != 0 {
+		t.Fatalf("job ended %s after %d retries: %q", got.State, got.Attempts, got.Error)
+	}
+	if n := rt.Metrics().retries.Load(); n != 0 {
+		t.Fatalf("%d job retries, want 0", n)
+	}
+}
+
+// TestShutdownWaitsOutRetryBackoff shuts the router down while a job waits
+// out its retry backoff. The job is neither queued nor running then, but
+// Shutdown must still let it reach a terminal state within the deadline.
+func TestShutdownWaitsOutRetryBackoff(t *testing.T) {
+	formula, traceBytes := unsatPayload(t, gen.Pigeonhole(4))
+	// Not newTestRouter: its cleanup shuts the router down, and Shutdown
+	// runs once.
+	rt, err := New(Config{StoreDir: t.TempDir(), Shards: 1, RetryBase: 200 * time.Millisecond,
+		ProbeInterval: 50 * time.Millisecond, ShardConfig: server.Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	if err := rt.KillShard("shard-1"); err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, ts, "", formula, traceBytes)
+	waitFor(t, 5*time.Second, func() bool { return rt.Metrics().retries.Load() == 1 })
+	if _, err := rt.AddLocalShard(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	rt.Shutdown(ctx)
+	rec, err := rt.Store().GetJob(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != store.StateDone {
+		t.Fatalf("Shutdown returned after %v with the job %s, attempts %d: %s",
+			time.Since(start), rec.State, rec.Attempts, rec.Error)
 	}
 }
 

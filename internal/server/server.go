@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"satcheck/internal/certify"
+	"satcheck/internal/metrics"
 )
 
 // Config sizes the daemon. The zero value is usable: New fills in the
@@ -118,7 +119,7 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
 		cfg:     cfg,
-		metrics: &Metrics{},
+		metrics: newMetrics(),
 		cache:   newResultCache(cfg.CacheEntries),
 		queue:   newJobQueue(cfg.QueueSize),
 		log:     cfg.Logger,
@@ -138,7 +139,7 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/check", s.handleCheck)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /metrics", metrics.Handler(s.metrics.WritePrometheus))
 	return s
 }
 

@@ -84,13 +84,13 @@ func TestOOCSmokeMemoryLimit(t *testing.T) {
 	}
 
 	// The limit is soft, so "it did not die" is not the whole assertion:
-	// the heap the runtime reserved must stay near the pinned limit. The
-	// in-memory kernel peaks around 565 MiB RSS on this proof (the out-of-
-	// core check reserves about 100 MiB of heap); 2x the limit is a
-	// generous ceiling just below the in-memory footprint.
+	// the heap the runtime reserved must stay under the pinned limit. The
+	// out-of-core check reserves about 100 MiB of heap, while the in-memory
+	// kernel peaks around 565 MiB RSS on this proof, so an accidental
+	// in-memory fallback fails this by more than 2x.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapSys > 2*heapLimit {
+	if ms.HeapSys > heapLimit {
 		t.Fatalf("heap grew to %d MiB under a %d MiB limit — the check was not out of core",
 			ms.HeapSys>>20, heapLimit>>20)
 	}
