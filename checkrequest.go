@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"satcheck/internal/kernelcheck"
 	"satcheck/internal/ooc"
 	"satcheck/internal/proofstat"
 	"satcheck/internal/trace"
@@ -23,11 +24,13 @@ type CheckRequest struct {
 	Trace TraceSource
 	// Format selects the proof encoding: FormatNative checks Trace with the
 	// resolution checkers, FormatDRAT/FormatLRAT check Proof with the
-	// clausal checkers, and FormatER checks Proof through the ER→LRAT
-	// bridge. Verdict and report semantics are identical across formats: a
-	// rejected proof is a report, never an error.
+	// clausal checkers, FormatER checks Proof through the ER→LRAT bridge,
+	// and FormatTC checks a TraceCheck Proof in the kernel. Verdict and
+	// report semantics are identical across formats: a rejected proof is a
+	// report, never an error.
 	Format ProofFormat
-	// Proof supplies the clausal proof bytes when Format != FormatNative.
+	// Proof supplies the proof bytes (clausal, ER or TraceCheck) when
+	// Format != FormatNative.
 	Proof ProofSource
 	// Method selects the checker traversal (DepthFirst, BreadthFirst,
 	// Hybrid, or Parallel). For FormatDRAT it selects the checking
@@ -38,15 +41,16 @@ type CheckRequest struct {
 	// trace's resolution chains are replayed in memory and its resolve
 	// sources become the hints, DRAT proofs are forward-checked with hint
 	// recording, and the kernel verifies the hints and extracts the core.
-	// OOC runs the kernel out of core. FormatLRAT otherwise verifies in the
-	// kernel and FormatER through the ER→LRAT bridge, whatever the method.
+	// OOC runs the kernel out of core. FormatLRAT and FormatTC otherwise
+	// verify in the kernel and FormatER through the ER→LRAT bridge,
+	// whatever the method.
 	// CheckablePair names the pairs RunCheck refuses.
 	Method Method
 	// Options configures the checker (memory limit, on-disk counts, ...).
 	// Options.Interrupt composes with the RunCheck context: both can abort.
 	Options CheckOptions
 	// Analyze additionally computes proof-graph statistics (AnalyzeProof or
-	// its clausal analogues) when the proof is valid.
+	// its clausal analogues) when the proof is valid; FormatTC has none.
 	Analyze bool
 }
 
@@ -77,7 +81,7 @@ type CheckReport struct {
 // rule before it reads a request body.
 func CheckablePair(format ProofFormat, m Method) error {
 	switch {
-	case format < FormatNative || format > FormatER:
+	case format < FormatNative || format > FormatTC:
 		return fmt.Errorf("satcheck: unknown proof format %d", int(format))
 	case m.Name() == "":
 		return fmt.Errorf("satcheck: unknown check method %d", int(m))
@@ -143,6 +147,12 @@ func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
 	case FormatER:
 		res, err = CheckER(f, proofSrc, opts)
 		analyze = func() (*ProofStats, error) { return proofstat.AnalyzeER(f, proofSrc) }
+	case FormatTC:
+		if m == OOC {
+			res, err = ooc.CheckTraceCheck(f, proofSrc, opts)
+		} else {
+			res, err = kernelcheck.CheckTraceCheck(f, proofSrc, opts)
+		}
 	}
 	report := &CheckReport{Method: m, Elapsed: time.Since(start)}
 	if err != nil {
@@ -156,7 +166,7 @@ func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
 		return nil, ctxErrOr(ctx, err)
 	}
 	report.Valid, report.Result = true, res
-	if req.Analyze {
+	if req.Analyze && analyze != nil {
 		if report.Stats, err = analyze(); err != nil {
 			return nil, ctxErrOr(ctx, err)
 		}

@@ -120,7 +120,7 @@ func TestRunCheckHonorsContext(t *testing.T) {
 // error for every format, never a panic.
 func TestRunCheckNoProofSource(t *testing.T) {
 	f := phpFormula(3)
-	for _, format := range []satcheck.ProofFormat{satcheck.FormatNative, satcheck.FormatDRAT, satcheck.FormatLRAT, satcheck.FormatER} {
+	for _, format := range []satcheck.ProofFormat{satcheck.FormatNative, satcheck.FormatDRAT, satcheck.FormatLRAT, satcheck.FormatER, satcheck.FormatTC} {
 		_, err := satcheck.RunCheck(context.Background(), satcheck.CheckRequest{Formula: f, Format: format})
 		if err == nil || !strings.Contains(err.Error(), "has no proof source") {
 			t.Errorf("%s request without a proof: err = %v, want a missing-proof error", format, err)
@@ -141,8 +141,11 @@ func TestRunCheckMatrix(t *testing.T) {
 	if st != satcheck.StatusUnsat {
 		t.Fatalf("padded php-4 solved %v", st)
 	}
-	var lrat, er bytes.Buffer
+	var lrat, er, tc bytes.Buffer
 	if _, err := satcheck.TraceToLRAT(f, mt, &lrat, satcheck.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := satcheck.ExportTraceCheck(f, mt, &tc); err != nil {
 		t.Fatal(err)
 	}
 	bres, err := satcheck.SolveBDD(f, satcheck.BDDOptions{Proof: true})
@@ -165,6 +168,7 @@ func TestRunCheckMatrix(t *testing.T) {
 		{satcheck.FormatDRAT, "c-ccxcc", nil, dratProof},
 		{satcheck.FormatLRAT, "ccccxcc", nil, lrat.Bytes()},
 		{satcheck.FormatER, "------x", nil, er.Bytes()},
+		{satcheck.FormatTC, "ccccxcc", nil, tc.Bytes()},
 	}
 	wantCore := make([]int, 0, f.NumClauses()-2)
 	for i := 0; i < f.NumClauses()-2; i++ {

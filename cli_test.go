@@ -61,7 +61,7 @@ func runTool(t *testing.T, bin string, args ...string) (string, int) {
 
 // TestCLISolveVerifyPipeline drives the full production flow: generate a
 // benchmark, solve with a trace file, verify with all three checkers,
-// extract the core, export and re-check a TraceCheck proof.
+// extract the core, export a TraceCheck proof and check it with zverify.
 func TestCLISolveVerifyPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -109,9 +109,25 @@ func TestCLISolveVerifyPipeline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("zproof export exit %d: %s", code, out)
 	}
-	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, tcPath)
-	if code != 0 || !strings.Contains(out, "PROOF VALID") {
-		t.Fatalf("zproof check exit %d: %s", code, out)
+	for _, args := range [][]string{{"-format", "tc"}, {"-method", "ooc", "-format", "tc"}} {
+		out, code = runTool(t, "zverify", append(args, cnfPath, tcPath)...)
+		if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=tc") {
+			t.Fatalf("zverify %v exit %d: %s", args, code, out)
+		}
+	}
+	// A TraceCheck check needs the formula: the file stating the empty
+	// clause as an original is refused, and the formula-less zproof check
+	// is gone.
+	onePath := filepath.Join(work, "one.tc")
+	if err := os.WriteFile(onePath, []byte("1 0 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runTool(t, "zverify", "-format", "tc", cnfPath, onePath)
+	if code != 2 || !strings.Contains(out, "kind=malformed-trace") {
+		t.Fatalf("zverify -format tc on the lone empty original: exit %d (want 2): %s", code, out)
+	}
+	if out, code := runTool(t, "zproof", "check", onePath); code != 1 {
+		t.Fatalf("zproof check: exit %d (want 1): %s", code, out)
 	}
 	out, code = runTool(t, "zproof", "stats", "-cnf", cnfPath, "-trace", tracePath)
 	if code != 0 || !strings.Contains(out, "proof depth") {
@@ -515,17 +531,18 @@ func TestCLIDRUPPipeline(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "PROOF VALID") {
 		t.Fatalf("zverify -format lrat exit %d: %s", code, out)
 	}
-	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "lrat", lratPath)
-	if code != 0 || !strings.Contains(out, "PROOF VALID (lrat)") {
-		t.Fatalf("zproof check -format lrat exit %d: %s", code, out)
+	// The same three proofs through the kernel.
+	out, code = runTool(t, "zverify", "-method", "kernel", "-format", "lrat", cnfPath, lratPath)
+	if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=lrat") {
+		t.Fatalf("zverify -method kernel -format lrat exit %d: %s", code, out)
 	}
-	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "drat", drupPath)
-	if code != 0 || !strings.Contains(out, "PROOF VALID (drat)") {
-		t.Fatalf("zproof check -format drat exit %d: %s", code, out)
+	out, code = runTool(t, "zverify", "-method", "kernel", "-format", "drat", cnfPath, drupPath)
+	if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=drat") {
+		t.Fatalf("zverify -method kernel -format drat exit %d: %s", code, out)
 	}
-	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "drat", truncPath)
+	out, code = runTool(t, "zverify", "-method", "kernel", "-format", "drat", cnfPath, truncPath)
 	if code != 2 || !strings.Contains(out, "kind=") {
-		t.Fatalf("zproof check on truncated DRUP: exit %d (want 2): %s", code, out)
+		t.Fatalf("zverify -method kernel on truncated DRUP: exit %d (want 2): %s", code, out)
 	}
 
 	// An ER proof from the BDD backend checks under zverify's default
@@ -540,9 +557,9 @@ func TestCLIDRUPPipeline(t *testing.T) {
 			t.Fatalf("zverify %v exit %d: %s", args, code, out)
 		}
 	}
-	out, code = runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "er", erPath)
-	if code != 0 || !strings.Contains(out, "PROOF VALID (er)") {
-		t.Fatalf("zproof check -format er exit %d: %s", code, out)
+	out, code = runTool(t, "zverify", "-method", "kernel", "-format", "er", cnfPath, erPath)
+	if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=er") {
+		t.Fatalf("zverify -method kernel -format er exit %d: %s", code, out)
 	}
 	if out, code := runTool(t, "zverify", "-method", "bdd", cnfPath, drupPath); code != 1 || !strings.Contains(out, "er proofs only") {
 		t.Errorf("zverify -method bdd on a native trace: exit %d (want 1 with the refusal): %s", code, out)
@@ -566,8 +583,8 @@ func TestCLIDRUPPipeline(t *testing.T) {
 	if out, code := runTool(t, "zcheck", "-format", "nope", cnfPath, drupPath); code != 1 {
 		t.Errorf("zcheck -format nope: exit %d (want 1): %s", code, out)
 	}
-	if out, code := runTool(t, "zproof", "check", "-cnf", cnfPath, "-format", "nope", drupPath); code != 1 {
-		t.Errorf("zproof check -format nope: exit %d (want 1): %s", code, out)
+	if out, code := runTool(t, "zverify", "-method", "kernel", "-format", "nope", cnfPath, drupPath); code != 1 {
+		t.Errorf("zverify -method kernel -format nope: exit %d (want 1): %s", code, out)
 	}
 	if out, code := runTool(t, "zproof", "stats", "-cnf", cnfPath, "-trace", drupPath, "-format", "nope"); code != 1 {
 		t.Errorf("zproof stats -format nope: exit %d (want 1): %s", code, out)

@@ -7,7 +7,7 @@
 //
 //	zcheck [-addr http://localhost:8347]
 //	       [-method df|bf|hybrid|parallel|bdd|kernel|ooc]
-//	       [-format native|drat|lrat|er] [-j N] [-mem-limit-mb N]
+//	       [-format native|drat|lrat|er|tc] [-j N] [-mem-limit-mb N]
 //	       [-mem-budget 64MiB] [-timeout D] [-analyze] [-core] [-retries N]
 //	       formula.cnf proof
 //
@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://localhost:8347", "zcheckd base URL")
 	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, bdd, kernel, or ooc")
-	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, or er")
+	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, er, or tc")
 	jobs := fs.Int("j", 0, "parallel only: requested worker count (server caps it at its pool size)")
 	memLimitMB := fs.Int64("mem-limit-mb", 0, "per-job checker memory budget in MB (0 = unlimited)")
 	memBudget := fs.String("mem-budget", "", "ooc only: window-shifting memory budget, e.g. 64MiB (mem_budget= on the wire)")

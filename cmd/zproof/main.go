@@ -4,14 +4,8 @@
 //	zproof export -cnf f.cnf -trace proof.trace -o proof.tc
 //	    convert a satcheck trace into the self-contained TraceCheck clause
 //	    format (every derived clause with its literals and chain), the
-//	    precursor of today's DRUP/DRAT proof formats;
-//
-//	zproof check -cnf f.cnf [-format tc|drat|lrat|er] [-mem-budget 64MiB] proof.tc
-//	    independently verify a proof file against the formula: a TraceCheck
-//	    file (default), a clausal DRUP/DRAT proof, an LRAT proof, or an
-//	    extended-resolution proof from the BDD backend (checked through the
-//	    ER→LRAT bridge); -mem-budget checks drat/lrat out of core, window by
-//	    window under the budget (see docs/OOC.md);
+//	    precursor of today's DRUP/DRAT proof formats (check it with
+//	    zverify -format tc, as every other proof format);
 //
 //	zproof stats -cnf f.cnf -trace proof.trace [-format native|drat|lrat|er]
 //	    print proof statistics: resolution-graph analytics for native traces
@@ -24,19 +18,16 @@
 //	    derivation reaches (renumbered; still a valid trace for the same
 //	    formula).
 //
-// Exit status: 0 on success, 2 when verification fails, 1 on usage/IO
-// errors.
+// Exit status: 0 on success, 2 when the proof is refused or an
+// interpolant fails its check, 1 on usage/IO errors.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"satcheck"
-	"satcheck/internal/checker"
 	"satcheck/internal/cnf"
 	"satcheck/internal/drat"
 	"satcheck/internal/interp"
@@ -54,7 +45,6 @@ func main() {
 func usage() int {
 	fmt.Fprintln(os.Stderr, `usage:
   zproof export -cnf formula.cnf -trace proof.trace [-o proof.tc]
-  zproof check  -cnf formula.cnf [-format tc|drat|lrat|er] [-mem-budget 64MiB] proof.tc
   zproof stats  -cnf formula.cnf -trace proof.trace [-format native|drat|lrat|er]
   zproof trim   -cnf formula.cnf -trace proof.trace -o trimmed.trace
   zproof interpolate -cnf formula.cnf -trace proof.trace -split K`)
@@ -68,8 +58,6 @@ func run() int {
 	switch os.Args[1] {
 	case "export":
 		return runExport(os.Args[2:])
-	case "check":
-		return runCheck(os.Args[2:])
 	case "stats":
 		return runStats(os.Args[2:])
 	case "interpolate":
@@ -90,12 +78,8 @@ func runTrim(args []string) int {
 	if fs.Parse(args) != nil {
 		return 1
 	}
-	f, ok := loadCNF(*cnfPath)
+	f, ok := loadInputs(*cnfPath, *tracePath)
 	if !ok {
-		return 1
-	}
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "zproof: -trace is required")
 		return 1
 	}
 	w := os.Stdout
@@ -122,12 +106,14 @@ func runTrim(args []string) int {
 	return 0
 }
 
-func loadCNF(path string) (*cnf.Formula, bool) {
-	if path == "" {
-		fmt.Fprintln(os.Stderr, "zproof: -cnf is required")
+// loadInputs parses the -cnf formula, once it has checked that -cnf and
+// -trace are both set.
+func loadInputs(cnfPath, tracePath string) (*cnf.Formula, bool) {
+	if cnfPath == "" || tracePath == "" {
+		fmt.Fprintln(os.Stderr, "zproof: -cnf and -trace are required")
 		return nil, false
 	}
-	f, err := cnf.ParseDimacsFile(path)
+	f, err := cnf.ParseDimacsFile(cnfPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zproof:", err)
 		return nil, false
@@ -143,12 +129,8 @@ func runExport(args []string) int {
 	if fs.Parse(args) != nil {
 		return 1
 	}
-	f, ok := loadCNF(*cnfPath)
+	f, ok := loadInputs(*cnfPath, *tracePath)
 	if !ok {
-		return 1
-	}
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "zproof: -trace is required")
 		return 1
 	}
 	w := os.Stdout
@@ -171,92 +153,6 @@ func runExport(args []string) int {
 	return 0
 }
 
-func runCheck(args []string) int {
-	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	cnfPath := fs.String("cnf", "", "DIMACS formula (omit to accept arbitrary axioms; required for drat/lrat)")
-	format := fs.String("format", "tc", "proof encoding: tc (TraceCheck), drat, lrat, or er")
-	memBudget := fs.String("mem-budget", "", "check drat/lrat out of core under this memory budget (e.g. 64MiB)")
-	if fs.Parse(args) != nil {
-		return 1
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "zproof: check needs exactly one proof file")
-		return 1
-	}
-	req := satcheck.CheckRequest{Method: satcheck.Kernel}
-	if *memBudget != "" {
-		// A set budget routes through the out-of-core checker: the same
-		// kernel, window by window (see docs/OOC.md).
-		b, err := satcheck.ParseByteSize(*memBudget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zproof:", err)
-			return 1
-		}
-		req.Method, req.Options.MemBudgetBytes = satcheck.OOC, b
-	}
-	if *format != "tc" {
-		return checkClausal(req, *cnfPath, *format, fs.Arg(0))
-	}
-	var f *cnf.Formula
-	if *cnfPath != "" {
-		var ok bool
-		if f, ok = loadCNF(*cnfPath); !ok {
-			return 1
-		}
-	}
-	fh, err := os.Open(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "zproof:", err)
-		return 1
-	}
-	defer fh.Close()
-	clauses, err := tracecheck.Parse(fh)
-	if err != nil {
-		fmt.Printf("RESULT: CHECK FAILED (%s)\n", checker.FailTrace)
-		fmt.Printf("kind=%s\n", checker.FailTrace)
-		fmt.Printf("detail: %v\n", err)
-		return 2
-	}
-	stats, err := tracecheck.Verify(f, clauses)
-	if err != nil {
-		fmt.Printf("RESULT: CHECK FAILED (%s)\n", checker.FailResolution)
-		fmt.Printf("kind=%s\n", checker.FailResolution)
-		fmt.Printf("detail: %v\n", err)
-		return 2
-	}
-	fmt.Printf("RESULT: PROOF VALID (%d originals, %d derived, %d resolutions)\n",
-		stats.Originals, stats.Derived, stats.Resolutions)
-	return 0
-}
-
-// checkClausal completes req with a DRAT, LRAT, or ER proof and its
-// formula, and verifies it through satcheck.RunCheck.
-func checkClausal(req satcheck.CheckRequest, cnfPath, format, proofPath string) int {
-	var err error
-	if req.Format, err = satcheck.ParseProofFormat(format); err != nil || req.Format == satcheck.FormatNative {
-		fmt.Fprintf(os.Stderr, "zproof: unknown proof format %q (want tc, drat, lrat, or er)\n", format)
-		return 1
-	}
-	req.Proof = satcheck.ProofFileSource(proofPath)
-	var ok bool
-	if req.Formula, ok = loadCNF(cnfPath); !ok {
-		return 1
-	}
-	rep, err := satcheck.RunCheck(context.Background(), req)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "zproof:", err)
-		return 1
-	}
-	if ce := rep.Failure; ce != nil {
-		fmt.Printf("RESULT: CHECK FAILED (%s)\n", ce.Kind)
-		fmt.Printf("kind=%s clause=%d step=%d\n", ce.Kind, ce.ClauseID, ce.Step)
-		fmt.Printf("detail: %v\n", ce)
-		return 2
-	}
-	fmt.Printf("RESULT: PROOF VALID (%s)\n", format)
-	return 0
-}
-
 func runStats(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	cnfPath := fs.String("cnf", "", "DIMACS formula")
@@ -265,12 +161,8 @@ func runStats(args []string) int {
 	if fs.Parse(args) != nil {
 		return 1
 	}
-	f, ok := loadCNF(*cnfPath)
+	f, ok := loadInputs(*cnfPath, *tracePath)
 	if !ok {
-		return 1
-	}
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "zproof: -trace is required")
 		return 1
 	}
 	var st *proofstat.Stats
@@ -343,12 +235,8 @@ func runInterpolate(args []string) int {
 	if fs.Parse(args) != nil {
 		return 1
 	}
-	f, ok := loadCNF(*cnfPath)
+	f, ok := loadInputs(*cnfPath, *tracePath)
 	if !ok {
-		return 1
-	}
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "zproof: -trace is required")
 		return 1
 	}
 	if *split <= 0 || *split >= f.NumClauses() {

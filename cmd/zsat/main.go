@@ -24,7 +24,7 @@
 // either, both, or neither. A ".gz" suffix gzips the proof.
 //
 // -method bdd switches to the BDD backend: UNSAT answers emit an
-// extended-resolution proof (-er, checkable by `zproof check -format er` or
+// extended-resolution proof (-er, checkable by `zverify -format er` or
 // `zcheckd method=bdd`; -er-lrat writes its LRAT bridge translation), SAT
 // answers a model. The node budget (-bdd-max-nodes) turns order-hostile
 // blowups into UNKNOWN.

@@ -6,14 +6,15 @@
 // Usage:
 //
 //	zverify [-method df|bf|hybrid|parallel|bdd|kernel|ooc]
-//	        [-format native|drat|lrat|er] [-j N] [-mem-limit-mb N]
+//	        [-format native|drat|lrat|er|tc] [-j N] [-mem-limit-mb N]
 //	        [-mem-budget 64MiB] [-counts-on-disk] [-core]
 //	        formula.cnf proof
 //
 // -format selects the proof encoding: the native resolution trace (default),
-// a clausal DRUP/DRAT proof (zsat -drup), LRAT, or an extended-resolution
-// proof from the BDD backend (zsat -method bdd -er). For DRAT, the method
-// maps onto a checking direction: bf checks forward (streaming, no core);
+// a clausal DRUP/DRAT proof (zsat -drup), LRAT, an extended-resolution
+// proof from the BDD backend (zsat -method bdd -er), or a TraceCheck file
+// (zproof export). For DRAT, the method maps onto a checking direction: bf
+// checks forward (streaming, no core);
 // df, hybrid, and parallel check backward (only the needed lemmas, with an
 // unsatisfiable core as the by-product, exactly like their native
 // counterparts). The kernel method bridges native traces and DRAT proofs to
@@ -22,8 +23,10 @@
 // in the kernel, with that core, by default; the ooc method runs the same
 // kernel window by window, out of core, under the -mem-budget ceiling (see
 // docs/OOC.md), with a verdict and core identical to the unconstrained
-// kernel on RUP proofs. ER proofs are bridged to LRAT and kernel-checked
-// under every method but ooc; bdd names that check and takes ER proofs only.
+// kernel on RUP proofs. TraceCheck files have each chain ordered as hints
+// and verify in the kernel like LRAT, out of core under ooc. ER proofs are
+// bridged to LRAT and kernel-checked under every method but ooc; bdd names
+// that check and takes ER proofs only.
 // satcheck.RunCheck picks the checker and refuses the pairs it cannot check.
 //
 // Exit status: 0 when the proof is valid, 2 when checking fails (the solver
@@ -52,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zverify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	method := fs.String("method", "df", "checker strategy: df, bf, hybrid, parallel, bdd, kernel, or ooc")
-	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, or er")
+	formatName := fs.String("format", "native", "proof encoding: native, drat, lrat, er, or tc")
 	jobs := fs.Int("j", 0, "parallel only: worker count (0 = one per available CPU)")
 	memLimitMB := fs.Int64("mem-limit-mb", 0, "abort if the checker memory model exceeds this many MB (0 = unlimited)")
 	memBudget := fs.String("mem-budget", "", "ooc only: window-shifting memory budget (e.g. 64MiB; default 256MiB)")

@@ -8,8 +8,10 @@ import (
 	"satcheck/internal/checker"
 	"satcheck/internal/cnf"
 	"satcheck/internal/dp"
+	"satcheck/internal/drat"
 	"satcheck/internal/gen"
 	"satcheck/internal/interp"
+	"satcheck/internal/kernelcheck"
 	"satcheck/internal/proofstat"
 	"satcheck/internal/solver"
 	"satcheck/internal/trace"
@@ -18,7 +20,7 @@ import (
 )
 
 // TestCrossFeatureMatrix drives every proof consumer (three checkers,
-// analyzer, trimmer, TraceCheck exporter+verifier, interpolator) over traces
+// analyzer, trimmer, TraceCheck exporter+kernel check, interpolator) over traces
 // from both proof-producing solvers (CDCL and Davis-Putnam) on one instance.
 func TestCrossFeatureMatrix(t *testing.T) {
 	ins := gen.Pigeonhole(4)
@@ -87,17 +89,13 @@ func TestCrossFeatureMatrix(t *testing.T) {
 			if _, err := checker.BreadthFirst(f, trimmed, checker.Options{}); err != nil {
 				t.Fatalf("check trimmed: %v", err)
 			}
-			// TraceCheck export + independent verify, from the trimmed trace.
+			// TraceCheck export of the trimmed trace, checked in the kernel.
 			var sb strings.Builder
 			if _, err := tracecheck.Export(f, trimmed, &sb); err != nil {
 				t.Fatalf("export: %v", err)
 			}
-			clauses, err := tracecheck.Parse(strings.NewReader(sb.String()))
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			if _, err := tracecheck.Verify(f, clauses); err != nil {
-				t.Fatalf("verify: %v", err)
+			if _, err := kernelcheck.CheckTraceCheck(f, drat.BytesSource(sb.String()), checker.Options{}); err != nil {
+				t.Fatalf("tc check: %v", err)
 			}
 			// Interpolation over a half/half partition, machine-verified.
 			inA := interp.SplitFirstK(f, f.NumClauses()/2)
@@ -140,11 +138,7 @@ func TestTraceFormatDocExamples(t *testing.T) {
 	}
 
 	tcExample := "1 1 0 0\n2 -1 2 0 0\n3 -2 0 0\n4 0 3 2 1 0\n"
-	clauses, err := tracecheck.Parse(strings.NewReader(tcExample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tracecheck.Verify(f, clauses); err != nil {
+	if _, err := kernelcheck.CheckTraceCheck(f, drat.BytesSource(tcExample), checker.Options{}); err != nil {
 		t.Fatalf("doc TraceCheck example rejected: %v", err)
 	}
 

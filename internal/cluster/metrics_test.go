@@ -1,10 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"satcheck/internal/server"
@@ -75,6 +81,143 @@ func TestRouterMetricsGolden(t *testing.T) {
 	if got := string(data); got != routerMetricsGolden {
 		t.Errorf("exposition differs from the golden text; got:\n%s", got)
 	}
+}
+
+// TestJoinRefusesUnsafeShardIDs refuses, with a 400, every join whose
+// shard ID a label value cannot carry as is, accepts IDs that need only
+// the text format's escapes, and then parses the router's whole /metrics
+// exposition line by line: each joined ID must read back as its label.
+func TestJoinRefusesUnsafeShardIDs(t *testing.T) {
+	rt, ts := newTestRouter(t, Config{Shards: 1})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(&server.HealthResponse{Status: "ok"})
+	}))
+	t.Cleanup(shard.Close)
+	join := func(id string) int {
+		body, _ := json.Marshal(JoinRequest{ID: id, URL: shard.URL})
+		resp, err := ts.Client().Post(ts.URL+"/cluster/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, id := range []string{"", "tab\tid", "line\nfeed", "nul\x00", "del\x7f", "next-line\u0085",
+		strings.Repeat("x", maxShardIDLen+1)} {
+		if code := join(id); code != http.StatusBadRequest {
+			t.Errorf("join %q: HTTP %d, want 400", id, code)
+		}
+	}
+	// JSON turns invalid UTF-8 into U+FFFD on the wire, so only a direct
+	// call can hand JoinShard one.
+	if err := rt.JoinShard("bad\xffutf8", shard.URL); err == nil {
+		t.Error("JoinShard accepted an ID that is not valid UTF-8")
+	}
+	joined := []string{`quote"back\slash`, "ünïcode shard", strings.Repeat("x", maxShardIDLen),
+		"shard-127.0.0.1:8347", "shard-[::1]:8347"}
+	for _, id := range joined {
+		if code := join(id); code != http.StatusOK {
+			t.Errorf("join %q: HTTP %d, want 200", id, code)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []string
+	for i, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, labels, err := parseExpositionLine(line)
+		if err != nil {
+			t.Fatalf("line %d %q: %v", i+1, line, err)
+		}
+		if name == "zcheckd_shard_healthy" {
+			shards = append(shards, labels["shard"])
+		}
+	}
+	for _, id := range append(joined, "shard-1") {
+		if !slices.Contains(shards, id) {
+			t.Errorf("shard %q has no zcheckd_shard_healthy series; parsed %q", id, shards)
+		}
+	}
+}
+
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*`)
+	familyLine = regexp.MustCompile(`^# (HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*|TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram))$`)
+)
+
+// parseExpositionLine parses one line of the text exposition format
+// strictly: a HELP or TYPE line, or a sample whose label values use only
+// the escapes \\, \" and \n. It returns a sample's name and labels.
+func parseExpositionLine(line string) (string, map[string]string, error) {
+	if strings.HasPrefix(line, "#") {
+		if !familyLine.MatchString(line) {
+			return "", nil, fmt.Errorf("bad HELP or TYPE line")
+		}
+		return "", nil, nil
+	}
+	name := metricName.FindString(line)
+	if name == "" {
+		return "", nil, fmt.Errorf("no metric name")
+	}
+	rest := line[len(name):]
+	labels := map[string]string{}
+	if strings.HasPrefix(rest, "{") {
+		rest = rest[1:]
+		for !strings.HasPrefix(rest, "}") {
+			ln := labelName.FindString(rest)
+			if ln == "" || !strings.HasPrefix(rest[len(ln):], `="`) {
+				return "", nil, fmt.Errorf("bad label at %q", rest)
+			}
+			rest = rest[len(ln)+2:]
+			var v strings.Builder
+			for {
+				if rest == "" {
+					return "", nil, fmt.Errorf("unterminated value of label %s", ln)
+				}
+				c := rest[0]
+				rest = rest[1:]
+				if c == '"' {
+					break
+				}
+				if c == '\n' {
+					return "", nil, fmt.Errorf("raw line feed in label %s", ln)
+				}
+				if c == '\\' {
+					switch {
+					case strings.HasPrefix(rest, `\`), strings.HasPrefix(rest, `"`):
+						c = rest[0]
+					case strings.HasPrefix(rest, "n"):
+						c = '\n'
+					default:
+						return "", nil, fmt.Errorf("undefined escape in label %s at %q", ln, rest)
+					}
+					rest = rest[1:]
+				}
+				v.WriteByte(c)
+			}
+			labels[ln] = v.String()
+			if strings.HasPrefix(rest, ",") {
+				rest = rest[1:]
+			}
+		}
+		rest = rest[1:]
+	}
+	value, ok := strings.CutPrefix(rest, " ")
+	if !ok {
+		return "", nil, fmt.Errorf("no space before the value")
+	}
+	if _, err := strconv.ParseFloat(value, 64); err != nil {
+		return "", nil, fmt.Errorf("bad value %q", value)
+	}
+	return name, labels, nil
 }
 
 const routerMetricsGolden = `# HELP zcheckd_router_sync_checks_total Synchronous checks proxied to shards.

@@ -43,6 +43,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"satcheck/internal/certify"
 	"satcheck/internal/metrics"
@@ -288,10 +290,32 @@ func (rt *Router) AddLocalShard() (string, error) {
 	return id, nil
 }
 
+// maxShardIDLen bounds a shard ID, which names the shard in log lines,
+// /healthz and every labelled metric.
+const maxShardIDLen = 128
+
+// checkShardID refuses a shard ID that a label value or a log line cannot
+// carry as is: empty, longer than maxShardIDLen bytes, not valid UTF-8, or
+// holding a control character.
+func checkShardID(id string) error {
+	switch {
+	case id == "" || len(id) > maxShardIDLen:
+		return fmt.Errorf("cluster: shard id must be 1 to %d bytes", maxShardIDLen)
+	case !utf8.ValidString(id):
+		return fmt.Errorf("cluster: shard id %q is not valid UTF-8", id)
+	case strings.ContainsFunc(id, unicode.IsControl):
+		return fmt.Errorf("cluster: shard id %q holds a control character", id)
+	}
+	return nil
+}
+
 // JoinShard registers an external shard by URL; it enters the ring when a
 // probe first finds it healthy (one is fired immediately). A re-join with
-// the same ID replaces the URL.
+// the same ID replaces the URL. An ID checkShardID refuses is an error.
 func (rt *Router) JoinShard(id, shardURL string) error {
+	if err := checkShardID(id); err != nil {
+		return err
+	}
 	u, err := url.Parse(shardURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return fmt.Errorf("cluster: bad shard url %q", shardURL)

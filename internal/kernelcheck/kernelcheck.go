@@ -3,7 +3,8 @@
 // LRAT bytes are scanned straight into the kernel's flat arrays (Scanner),
 // native traces carry their own hints (each learned clause's resolve
 // sources, ordered by tracecheck.Derive, which hands each clause straight
-// to the same arrays), and DRAT proofs are first
+// to the same arrays; TraceCheck files take the same path through
+// tracecheck.Replay), and DRAT proofs are first
 // annotated by the forward engine (hint recording, internal/drat); the
 // kernel re-verifies every hint, so the only code path that can report
 // "verified" is kernel.Check.
@@ -344,12 +345,35 @@ func CheckLRATProof(f *cnf.Formula, proof *drat.LRATProof, opts checker.Options)
 // Result is the kernel's, including the hint-closure unsat core: the
 // original clauses the trace's chains reach.
 func KernelCheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
+	return checkHinted(f, func(visit func(tracecheck.Clause) error) error {
+		return tracecheck.Derive(f, src, visit)
+	}, opts)
+}
+
+// CheckTraceCheck verifies a TraceCheck file of f as KernelCheckTrace
+// verifies a native trace, with tracecheck.Replay as the producer: a file
+// Replay refuses is a FailTrace rejection, and a chain that does not
+// imply its clause is the kernel's FailHint on that clause.
+func CheckTraceCheck(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
+	rc, err := src.Open()
+	if err != nil {
+		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
+	}
+	defer rc.Close()
+	return checkHinted(f, func(visit func(tracecheck.Clause) error) error {
+		return tracecheck.Replay(f, rc, visit)
+	}, opts)
+}
+
+// checkHinted runs the kernel over the hinted clauses produce hands its
+// visitor, appended to the pooled flat proof as they come.
+func checkHinted(f *cnf.Formula, produce func(visit func(tracecheck.Clause) error) error, opts checker.Options) (*checker.Result, error) {
 	kr := kernelRuns.Get().(*kernelRun)
 	defer kernelRuns.Put(kr)
 	maxVar := kr.flattenFormula(f)
 	kr.resetProof()
-	var rangeErr error // reported after any derivation error
-	err := tracecheck.Derive(f, src, func(c tracecheck.Clause) error {
+	var rangeErr error // reported after any producer error
+	err := produce(func(c tracecheck.Clause) error {
 		if rangeErr == nil {
 			rangeErr = kr.addLine(c.ID, c.Lits, c.Hints)
 		}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -78,7 +79,7 @@ func (w *Writer) Sample(v int64, labels ...string) {
 	io.WriteString(w.w, w.name)
 	sep := "{"
 	for i := 0; i+1 < len(labels); i += 2 {
-		fmt.Fprintf(w.w, "%s%s=%q", sep, labels[i], labels[i+1])
+		fmt.Fprintf(w.w, `%s%s="%s"`, sep, labels[i], labelEscaper.Replace(labels[i+1]))
 		sep = ","
 	}
 	if sep == "," {
@@ -86,6 +87,10 @@ func (w *Writer) Sample(v int64, labels ...string) {
 	}
 	fmt.Fprintf(w.w, " %d\n", v)
 }
+
+// labelEscaper escapes a label value as the text format defines: a
+// backslash, a double quote and a line feed, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Counter writes a counter without labels.
 func (w *Writer) Counter(name, help string, v int64) { w.Family(name, "counter", help).Sample(v) }

@@ -109,8 +109,30 @@ func CheckDRAT(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.
 // the windowed kernel under the budget. A trace Derive refuses is a
 // FailTrace rejection, as in every native checker.
 func CheckTrace(f *cnf.Formula, src trace.Source, opts checker.Options) (*checker.Result, error) {
+	return checkHinted(f, func(visit func(tracecheck.Clause) error) error {
+		return tracecheck.Derive(f, src, visit)
+	}, opts)
+}
+
+// CheckTraceCheck verifies a TraceCheck file of f out of core as
+// CheckTrace verifies a native trace, with tracecheck.Replay as the
+// producer.
+func CheckTraceCheck(f *cnf.Formula, src drat.Source, opts checker.Options) (*checker.Result, error) {
+	rc, err := src.Open()
+	if err != nil {
+		return nil, &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
+	}
+	defer rc.Close()
+	return checkHinted(f, func(visit func(tracecheck.Clause) error) error {
+		return tracecheck.Replay(f, rc, visit)
+	}, opts)
+}
+
+// checkHinted verifies the hinted clauses produce hands its visitor with
+// the windowed kernel; a producer error is a FailTrace rejection.
+func checkHinted(f *cnf.Formula, produce func(visit func(tracecheck.Clause) error) error, opts checker.Options) (*checker.Result, error) {
 	var lines []drat.LRATLine
-	err := tracecheck.Derive(f, src, func(c tracecheck.Clause) error {
+	err := produce(func(c tracecheck.Clause) error {
 		lines = append(lines, drat.LRATLine{ID: c.ID, Lits: slices.Clone(c.Lits), Hints: slices.Clone(c.Hints)})
 		return nil
 	})

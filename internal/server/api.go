@@ -37,7 +37,7 @@ const (
 type CheckResponse struct {
 	Verdict   string       `json:"verdict"` // "valid" | "rejected"
 	Method    string       `json:"method"`
-	Format    string       `json:"format"` // "native" | "drat" | "lrat" | "er"
+	Format    string       `json:"format"` // "native" | "drat" | "lrat" | "er" | "tc"
 	Cached    bool         `json:"cached,omitempty"`
 	ElapsedMS float64      `json:"elapsed_ms"`
 	Result    *ResultJSON  `json:"result,omitempty"`
@@ -128,8 +128,8 @@ type JobOptions struct {
 	// direction — see satcheck.CheckRequest.Method).
 	Method satcheck.Method
 	// Format is the proof encoding of the "trace" part: native resolution
-	// trace (default), DRAT, LRAT, or ER (the BDD backend's
-	// extended-resolution proofs).
+	// trace (default), DRAT, LRAT, ER (the BDD backend's
+	// extended-resolution proofs), or TraceCheck.
 	Format satcheck.ProofFormat
 	// MemLimitMB bounds the checker's deterministic memory model; 0 = server
 	// default.

@@ -43,7 +43,7 @@ type Metrics struct {
 	// checksByFormat counts completed checks per proof encoding, indexed by
 	// satcheck.ProofFormat and labelled by its String — the operator's view
 	// of how much clausal vs native traffic the service sees.
-	checksByFormat [satcheck.FormatER + 1]atomic.Int64
+	checksByFormat [satcheck.FormatTC + 1]atomic.Int64
 
 	// checksByMethod counts completed checks per requested method, indexed
 	// by satcheck.Method and labelled by its Name, so bdd-bridge traffic is

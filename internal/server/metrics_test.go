@@ -28,7 +28,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.peakMemWords.Store(123456)
 	m.peakMemBoundWords.Store(654321)
 
-	for f := satcheck.ProofFormat(0); f <= satcheck.FormatER+1; f++ {
+	for f := satcheck.ProofFormat(0); f <= satcheck.FormatTC+1; f++ {
 		for n := 0; n <= int(f); n++ {
 			m.ObserveFormat(f)
 		}
@@ -123,6 +123,7 @@ zcheckd_checks_by_format_total{format="native"} 1
 zcheckd_checks_by_format_total{format="drat"} 2
 zcheckd_checks_by_format_total{format="lrat"} 3
 zcheckd_checks_by_format_total{format="er"} 4
+zcheckd_checks_by_format_total{format="tc"} 5
 # HELP zcheckd_checks_by_method_total Completed checks by requested method.
 # TYPE zcheckd_checks_by_method_total counter
 zcheckd_checks_by_method_total{method="df"} 1

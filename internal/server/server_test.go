@@ -748,7 +748,7 @@ func TestCheckClausalFormats(t *testing.T) {
 // the query layer: ParseJobOptions refuses bdd with any format but er and
 // ooc with er, before a body is read, and accepts every other pair.
 func TestParseJobOptionsPairs(t *testing.T) {
-	for _, format := range []string{"native", "drat", "lrat", "er"} {
+	for _, format := range []string{"native", "drat", "lrat", "er", "tc"} {
 		for _, method := range []string{"df", "bf", "hybrid", "parallel", "bdd", "kernel", "ooc"} {
 			refused := method == "bdd" && format != "er" || method == "ooc" && format == "er"
 			o, err := ParseJobOptions(url.Values{"format": {format}, "method": {method}})
@@ -759,6 +759,51 @@ func TestParseJobOptionsPairs(t *testing.T) {
 				t.Errorf("format=%s&method=%s parsed as %s/%s", format, method, o.Format, o.Method.Name())
 			}
 		}
+	}
+}
+
+// TestCheckTraceCheckFormat drives format=tc end to end: a TraceCheck
+// export is valid with the kernel's core and no proof_stats even with
+// analyze=1, a lone empty original is a structured rejection, and the
+// completed checks land in the per-format counter.
+func TestCheckTraceCheckFormat(t *testing.T) {
+	ins := gen.Pigeonhole(4)
+	run, err := satcheck.SolveWithProof(ins.F, satcheck.SolverOptions{})
+	if err != nil || run.Status != satcheck.StatusUnsat {
+		t.Fatalf("solve: %v, %v", run.Status, err)
+	}
+	var fb, tc bytes.Buffer
+	if err := cnf.WriteDimacs(&fb, ins.F); err != nil {
+		t.Fatal(err)
+	}
+	if err := satcheck.ExportTraceCheck(ins.F, run.Trace, &tc); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for proof, want := range map[string]string{tc.String(): VerdictValid, "1 0 0\n": VerdictRejected} {
+		ct, body := multipartBody(t, fb.Bytes(), []byte(proof))
+		resp, data := postCheck(t, ts, "?format=tc&analyze=1", ct, body)
+		var cr CheckResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &cr) != nil {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
+		}
+		switch {
+		case cr.Verdict != want || cr.Format != "tc" || cr.Stats != nil:
+			t.Errorf("verdict %q format %q stats %v, want %q tc nil: %s", cr.Verdict, cr.Format, cr.Stats, want, data)
+		case want == VerdictValid && (cr.Result == nil || cr.Result.CoreSize != ins.F.NumClauses()):
+			t.Errorf("want the kernel's core of all %d clauses: %s", ins.F.NumClauses(), data)
+		case want == VerdictRejected && (cr.Failure == nil || cr.Failure.Kind != "malformed-trace"):
+			t.Errorf("want a malformed-trace rejection: %s", data)
+		}
+	}
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil || !strings.Contains(string(mdata), `zcheckd_checks_by_format_total{format="tc"} 2`) {
+		t.Errorf("metrics (%v) miss two tc checks:\n%s", err, mdata)
 	}
 }
 

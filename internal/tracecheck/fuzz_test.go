@@ -9,36 +9,44 @@ import (
 	"satcheck/internal/cnf"
 	"satcheck/internal/kernel"
 	"satcheck/internal/resolve"
+	"satcheck/internal/testutil"
 	"satcheck/internal/trace"
 )
 
-// FuzzParseVerify asserts the TraceCheck parser and verifier never panic on
-// arbitrary input, and that whatever Verify accepts against the fixed
-// formula really contains a grounded empty-clause derivation.
-func FuzzParseVerify(f *testing.F) {
-	f.Add("1 1 0 0\n2 -1 0 0\n3 0 1 2 0\n")
-	f.Add("1 1 0 0\n2 -1 0 0\n")
-	f.Add("1 x 0 0\n")
-	f.Add("")
-	f.Add("9999999 1 0 1 0\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		clauses, err := Parse(strings.NewReader(input))
+// FuzzTraceCheck holds the TraceCheck path to ground truth: on a formula
+// of at most 8 variables decoded from form (decodeFormula) and arbitrary
+// TraceCheck text, Replay and the kernel must not panic, and whatever the
+// kernel accepts must be unsatisfiable by brute force.
+func FuzzTraceCheck(f *testing.F) {
+	xs := encodeFormula([][]int{{1}, {-1}})
+	f.Add(xs, "1 1 0 0\n2 -1 0 0\n3 0 1 2 0\n")
+	f.Add(xs, "1 1 0 0\n2 -1 0 0\n")
+	f.Add(xs, "1 x 0 0\n")
+	f.Add(xs, "")
+	f.Add(xs, "9999999 1 0 1 0\n")
+	// The formula's empty clause claimed by a formula without one, and
+	// literals past 32 and 31 bits that once truncated to ¬x1 and to an
+	// invalid literal.
+	f.Add(xs, "1 0 0\n")
+	f.Add(xs, "1 1 0 0\n2 -4294967297 0 0\n3 0 1 2 0\n")
+	f.Add(xs, "1 2147483648 0 0\n")
+	f.Fuzz(func(t *testing.T, form []byte, input string) {
+		in := fuzzBytes(form)
+		formula := decodeFormula(&in)
+		var got []Clause
+		err := Replay(formula, strings.NewReader(input), func(c Clause) error {
+			got = append(got, Clause{ID: c.ID, Lits: slices.Clone(c.Lits), Hints: slices.Clone(c.Hints)})
+			return nil
+		})
 		if err != nil {
 			return
 		}
-		formula := cnf.NewFormula(1)
-		formula.AddClause(1)
-		formula.AddClause(-1)
-		if _, err := Verify(formula, clauses); err != nil {
+		if _, err := kernel.Check(kernelFormula(formula), kernelProof(got), kernel.Options{}); err != nil {
 			return
 		}
-		// Accepted: there must be an empty clause among the lines.
-		for _, c := range clauses {
-			if len(c.Lits) == 0 {
-				return
-			}
+		if sat, model := testutil.BruteForceSat(formula); sat {
+			t.Fatalf("kernel accepted a refutation of a satisfiable formula (model %v):\n%s", model, input)
 		}
-		t.Fatal("Verify accepted a derivation with no empty clause")
 	})
 }
 
@@ -103,65 +111,84 @@ type level0 struct {
 	ante  int
 }
 
-// decodeDerive reads a formula of up to 8 clauses of up to 4 literals
-// over variables 1..8 (tautologies and duplicate literals included), up
-// to 7 learned records of 1–4 sources naming earlier IDs, up to 7 level-0
-// records and a final conflict; level-0 antecedents and the final
-// conflict may name one ID past the last clause. Missing bytes read as 0.
-func decodeDerive(in []byte) (*cnf.Formula, *trace.MemoryTrace) {
-	next := func() int {
-		if len(in) == 0 {
-			return 0
-		}
-		b := in[0]
-		in = in[1:]
-		return int(b)
+// fuzzBytes hands out fuzz input a byte at a time; missing bytes read as
+// 0.
+type fuzzBytes []byte
+
+func (in *fuzzBytes) next() int {
+	if len(*in) == 0 {
+		return 0
 	}
-	lit := func(b int) cnf.Lit { return cnf.NewLit(cnf.Var(1+(b>>1)%8), b&1 == 1) }
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return int(b)
+}
+
+// decodeFormula reads a formula of up to 8 clauses of up to 4 literals
+// over variables 1..8, tautologies and duplicate literals included.
+func decodeFormula(in *fuzzBytes) *cnf.Formula {
 	form := cnf.NewFormula(8)
-	for range 1 + next()%8 {
+	for range 1 + in.next()%8 {
 		var cl cnf.Clause
-		for range next() % 5 {
-			cl = append(cl, lit(next()))
+		for range in.next() % 5 {
+			cl = append(cl, decodeLit(in.next()))
 		}
 		form.Add(cl)
 	}
+	return form
+}
+
+func decodeLit(b int) cnf.Lit { return cnf.NewLit(cnf.Var(1+(b>>1)%8), b&1 == 1) }
+
+// decodeDerive reads a formula (decodeFormula), up to 7 learned records
+// of 1–4 sources naming earlier IDs, up to 7 level-0 records and a final
+// conflict; level-0 antecedents and the final conflict may name one ID
+// past the last clause.
+func decodeDerive(data []byte) (*cnf.Formula, *trace.MemoryTrace) {
+	in := fuzzBytes(data)
+	form := decodeFormula(&in)
 	nOrig := len(form.Clauses)
 	mt := &trace.MemoryTrace{}
-	nLearned := next() % 8
+	nLearned := in.next() % 8
 	for i := range nLearned {
 		id := nOrig + i
-		srcs := make([]int, 1+next()%4)
+		srcs := make([]int, 1+in.next()%4)
 		for j := range srcs {
-			srcs[j] = next() % id
+			srcs[j] = in.next() % id
 		}
 		mt.Learned(id, srcs)
 	}
 	ids := nOrig + nLearned
-	for range next() % 8 {
-		l := lit(next())
-		mt.LevelZero(l.Var(), !l.IsNeg(), next()%(ids+1))
+	for range in.next() % 8 {
+		l := decodeLit(in.next())
+		mt.LevelZero(l.Var(), !l.IsNeg(), in.next()%(ids+1))
 	}
-	mt.FinalConflict(next() % (ids + 1))
+	mt.FinalConflict(in.next() % (ids + 1))
 	return form, mt
+}
+
+// encodeFormula is decodeFormula's inverse for in-range DIMACS clauses.
+func encodeFormula(clauses [][]int) []byte {
+	in := []byte{byte(len(clauses) - 1)}
+	for _, cl := range clauses {
+		in = append(in, byte(len(cl)))
+		for _, d := range cl {
+			in = append(in, encodeLit(d))
+		}
+	}
+	return in
+}
+
+func encodeLit(d int) byte {
+	l := cnf.LitFromDimacs(d)
+	return byte(int(l.Var()-1)<<1 | int(l&1))
 }
 
 // encodeDerive is decodeDerive's inverse for in-range seeds: DIMACS
 // clauses, learned source lists (0-based IDs), level-0 records and the
 // final conflict.
 func encodeDerive(clauses, learned [][]int, zero []level0, final int) []byte {
-	lit := func(d int) byte {
-		l := cnf.LitFromDimacs(d)
-		return byte(int(l.Var()-1)<<1 | int(l&1))
-	}
-	in := []byte{byte(len(clauses) - 1)}
-	for _, cl := range clauses {
-		in = append(in, byte(len(cl)))
-		for _, d := range cl {
-			in = append(in, lit(d))
-		}
-	}
-	in = append(in, byte(len(learned)))
+	in := append(encodeFormula(clauses), byte(len(learned)))
 	for _, srcs := range learned {
 		in = append(in, byte(len(srcs)-1))
 		for _, s := range srcs {
@@ -174,7 +201,7 @@ func encodeDerive(clauses, learned [][]int, zero []level0, final int) []byte {
 		if !r.value {
 			d = -d
 		}
-		in = append(in, lit(d), byte(r.ante))
+		in = append(in, encodeLit(d), byte(r.ante))
 	}
 	return append(in, byte(final))
 }

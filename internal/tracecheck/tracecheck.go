@@ -1,26 +1,26 @@
 // Package tracecheck converts satcheck resolution traces into the
 // TraceCheck format — the clause-level trace format that grew out of
 // zchaff-style checkers and became the lingua franca of early proof
-// checking (a precursor of today's DRUP/DRAT) — and independently verifies
-// files in that format.
+// checking (a precursor of today's DRUP/DRAT) — and turns both native
+// traces and TraceCheck files into hinted clauses for the trusted kernel.
 //
 // A TraceCheck file is a sequence of lines
 //
 //	<idx> <lit>* 0 <antecedent-idx>* 0
 //
 // where a clause with no antecedents is an original clause and a clause
-// with antecedents must be derivable by resolving the antecedent clauses in
-// the given order (a "trivial resolution" chain). A derivation is a proof
-// of unsatisfiability when it contains the empty clause.
+// with antecedents is derived from the antecedent clauses (a "trivial
+// resolution" chain). A derivation is a proof of unsatisfiability when it
+// contains the empty clause.
 //
 // Unlike the native satcheck trace (§3.1 of the paper), TraceCheck lines
 // carry the *literals* of every derived clause, so the format is larger but
-// self-contained: a TraceCheck file can be validated without re-deriving
-// clause contents. Derive materializes the literals by running the same
-// chain resolutions the checker performs — so a successful Derive is itself
-// a full validation pass — compiles the final level-0 stage into one last
+// self-contained. Derive materializes a native trace's literals by running
+// its chain resolutions, compiles the final level-0 stage into one last
 // chain deriving the empty clause, orders each chain as kernel hints, and
-// hands each clause to a visitor as it goes.
+// hands each clause to a visitor as it goes. Replay does the same for a
+// TraceCheck file, whose literals are given. Neither says "valid": that is
+// the kernel's verdict on the hinted clauses (internal/kernelcheck).
 package tracecheck
 
 import (
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -44,10 +43,10 @@ type Clause struct {
 	// Lits is the clause content in canonical order.
 	Lits cnf.Clause
 	// Antecedents is the resolution chain deriving the clause (empty for
-	// original clauses and for Derive's restatement of an empty one).
+	// original clauses and for the restatement of an empty one).
 	Antecedents []int
 	// Hints lists the antecedents in the order a hint-following (LRAT)
-	// checker replays them. Set by Derive only.
+	// checker replays them. Set by Derive and Replay.
 	Hints []int
 }
 
@@ -146,6 +145,80 @@ func Derive(f *cnf.Formula, src trace.Source, visit func(Clause) error) error {
 		// The formula's own empty clause: restate it, since a kernel proof
 		// must add the empty clause.
 		return visit(Clause{ID: id, Lits: cnf.Clause{}, Hints: []int{data.FinalConflict + 1}})
+	}
+	return nil
+}
+
+// Replay reads a TraceCheck file from r and calls visit, under Derive's
+// contract, with each derived line, its antecedents ordered as kernel
+// hints by Derive's hinter. It checks the file's structure against f; the
+// kernel checks that each chain implies its clause:
+//   - a line without antecedents must equal formula clause ID, normalized;
+//   - every antecedent must be declared on an earlier line;
+//   - IDs must strictly increase from line to line;
+//   - derived literals must use only the formula's variables.
+//
+// When the file declares the formula's own empty clause and derives none,
+// the last clause visited restates it, with that original as its hint, as
+// Derive does.
+func Replay(f *cnf.Formula, r io.Reader, visit func(Clause) error) error {
+	lines, err := Parse(r)
+	if err != nil {
+		return err
+	}
+	nOrig, maxVar := len(f.Clauses), f.NumVars
+	for _, c := range f.Clauses {
+		maxVar = max(maxVar, int(c.MaxVar()))
+	}
+	h := hinter{isTrue: make([]bool, 2*maxVar+2)}
+	var (
+		ids          []int        // the IDs declared so far, increasing
+		declared     []cnf.Clause // their literals
+		chain        []cnf.Clause
+		hints        []int
+		last, orig0  int  // the last ID; the first original empty clause
+		derivedEmpty bool // a derived line is the empty clause
+	)
+	for _, c := range lines {
+		if c.ID <= last {
+			return fmt.Errorf("tracecheck: clause %d follows clause %d; IDs must increase", c.ID, last)
+		}
+		last = c.ID
+		if len(c.Antecedents) == 0 {
+			if c.ID > nOrig {
+				return fmt.Errorf("tracecheck: original clause %d beyond formula (%d clauses)", c.ID, nOrig)
+			}
+			want, _ := f.Clauses[c.ID-1].Clone().Normalize()
+			if !slices.Equal(c.Lits, want) {
+				return fmt.Errorf("tracecheck: original clause %d is %s, formula has %s", c.ID, c.Lits, want)
+			}
+			if len(want) == 0 && orig0 == 0 {
+				orig0 = c.ID
+			}
+		} else {
+			chain = chain[:0]
+			for _, a := range c.Antecedents {
+				i, ok := slices.BinarySearch(ids, a)
+				if !ok {
+					return fmt.Errorf("tracecheck: clause %d uses undeclared antecedent %d", c.ID, a)
+				}
+				chain = append(chain, declared[i])
+			}
+			for _, l := range c.Lits {
+				if int(l.Var()) > maxVar {
+					return fmt.Errorf("tracecheck: clause %d: literal %s beyond the formula's %d variables", c.ID, l, maxVar)
+				}
+			}
+			derivedEmpty = derivedEmpty || len(c.Lits) == 0
+			hints = h.order(hints[:0], c.Lits, c.Antecedents, chain)
+			if err := visit(Clause{ID: c.ID, Lits: c.Lits, Antecedents: c.Antecedents, Hints: hints}); err != nil {
+				return err
+			}
+		}
+		ids, declared = append(ids, c.ID), append(declared, c.Lits)
+	}
+	if orig0 > 0 && !derivedEmpty {
+		return visit(Clause{ID: max(last, nOrig) + 1, Lits: cnf.Clause{}, Hints: []int{orig0}})
 	}
 	return nil
 }
@@ -431,6 +504,10 @@ func appendLine(b []byte, id int, lits cnf.Clause, antecedents []int) []byte {
 	return append(b, " 0\n"...)
 }
 
+// maxVar caps literals' variables, as internal/drat and the LRAT scanner
+// do, so none is truncated on its way to a cnf.Lit.
+const maxVar = 1 << 28
+
 // Parse reads a TraceCheck file.
 func Parse(r io.Reader) ([]Clause, error) {
 	sc := bufio.NewScanner(r)
@@ -461,6 +538,9 @@ func Parse(r io.Reader) ([]Clause, error) {
 		c := Clause{ID: vals[0]}
 		i := 1
 		for ; i < len(vals) && vals[i] != 0; i++ {
+			if vals[i] > maxVar || vals[i] < -maxVar {
+				return nil, fmt.Errorf("tracecheck: line %d: literal %d exceeds variable %d", lineNo, vals[i], maxVar)
+			}
 			c.Lits = append(c.Lits, cnf.LitFromDimacs(vals[i]))
 		}
 		if i >= len(vals) {
@@ -483,85 +563,4 @@ func Parse(r io.Reader) ([]Clause, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// VerifyStats summarizes a Verify.
-type VerifyStats struct {
-	Originals   int
-	Derived     int
-	Resolutions int64
-}
-
-// Verify independently validates a parsed TraceCheck derivation:
-// every derived clause's chain must resolve to exactly its declared
-// literals, antecedents must be declared earlier, and the empty clause must
-// appear. When f is non-nil, clauses without antecedents must additionally
-// match f's clauses: clause index i (1-based) must equal formula clause
-// i-1 — the exporter's convention — so the proof is grounded in the formula
-// being refuted rather than in arbitrary axioms.
-func Verify(f *cnf.Formula, clauses []Clause) (*VerifyStats, error) {
-	byID := make(map[int]cnf.Clause, len(clauses))
-	stats := &VerifyStats{}
-	sawEmpty := false
-	for _, c := range clauses {
-		if _, dup := byID[c.ID]; dup {
-			return nil, fmt.Errorf("tracecheck: clause index %d declared twice", c.ID)
-		}
-		if len(c.Antecedents) == 0 {
-			if f != nil {
-				if c.ID > len(f.Clauses) {
-					return nil, fmt.Errorf("tracecheck: original clause %d beyond formula (%d clauses)", c.ID, len(f.Clauses))
-				}
-				want, _ := f.Clauses[c.ID-1].Clone().Normalize()
-				if !sameClause(c.Lits, want) {
-					return nil, fmt.Errorf("tracecheck: original clause %d is %s, formula has %s", c.ID, c.Lits, want)
-				}
-			}
-			byID[c.ID] = c.Lits
-			stats.Originals++
-		} else {
-			chainCls := make([]cnf.Clause, 0, len(c.Antecedents))
-			for _, a := range c.Antecedents {
-				cl, ok := byID[a]
-				if !ok {
-					return nil, fmt.Errorf("tracecheck: clause %d uses undeclared antecedent %d", c.ID, a)
-				}
-				chainCls = append(chainCls, cl)
-			}
-			out, err := resolve.Chain(chainCls[0], chainCls[1:])
-			if err != nil {
-				return nil, fmt.Errorf("tracecheck: clause %d: %w", c.ID, err)
-			}
-			stats.Resolutions += int64(len(chainCls) - 1)
-			if !sameClause(out, c.Lits) {
-				return nil, fmt.Errorf("tracecheck: clause %d declares %s but its chain derives %s", c.ID, c.Lits, out)
-			}
-			byID[c.ID] = c.Lits
-			stats.Derived++
-		}
-		if len(c.Lits) == 0 {
-			sawEmpty = true
-		}
-	}
-	if !sawEmpty {
-		return nil, fmt.Errorf("tracecheck: no empty clause; the file is not a refutation")
-	}
-	return stats, nil
-}
-
-func sameClause(a, b cnf.Clause) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	// Both canonical: compare positionally.
-	sa := append(cnf.Clause(nil), a...)
-	sb := append(cnf.Clause(nil), b...)
-	sort.Slice(sa, func(i, j int) bool { return sa[i] < sa[j] })
-	sort.Slice(sb, func(i, j int) bool { return sb[i] < sb[j] })
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package tracecheck
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"satcheck/internal/cnf"
 	"satcheck/internal/dp"
 	"satcheck/internal/gen"
+	"satcheck/internal/kernel"
 	"satcheck/internal/solver"
 	"satcheck/internal/testutil"
 	"satcheck/internal/trace"
@@ -29,22 +31,38 @@ func solveTrace(t *testing.T, f *cnf.Formula) *trace.MemoryTrace {
 	return mt
 }
 
-func exportVerify(t *testing.T, f *cnf.Formula, mt *trace.MemoryTrace) (*ExportStats, *VerifyStats) {
+// replayKernel replays the TraceCheck text against f and checks the hinted
+// clauses in the kernel; it returns the clauses Replay visited.
+func replayKernel(f *cnf.Formula, text string) ([]Clause, error) {
+	var got []Clause
+	err := Replay(f, strings.NewReader(text), func(c Clause) error {
+		got = append(got, Clause{ID: c.ID, Lits: slices.Clone(c.Lits),
+			Antecedents: slices.Clone(c.Antecedents), Hints: slices.Clone(c.Hints)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := kernel.Check(kernelFormula(f), kernelProof(got), kernel.Options{}); err != nil {
+		return nil, err
+	}
+	return got, nil
+}
+
+// exportVerify exports mt and checks the export through Replay and the
+// kernel; it returns the export's statistics and the replayed clauses.
+func exportVerify(t *testing.T, f *cnf.Formula, mt *trace.MemoryTrace) (*ExportStats, []Clause) {
 	t.Helper()
 	var sb strings.Builder
 	es, err := Export(f, mt, &sb)
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	clauses, err := Parse(strings.NewReader(sb.String()))
+	replayed, err := replayKernel(f, sb.String())
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
-	vs, err := Verify(f, clauses)
-	if err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	return es, vs
+	return es, replayed
 }
 
 func TestExportVerifyRoundTrip(t *testing.T) {
@@ -55,12 +73,23 @@ func TestExportVerifyRoundTrip(t *testing.T) {
 		gen.Scheduling(10, 3, 5, 1),
 	} {
 		mt := solveTrace(t, ins.F)
-		es, vs := exportVerify(t, ins.F, mt)
+		es, replayed := exportVerify(t, ins.F, mt)
 		if es.Originals != ins.F.NumClauses() {
 			t.Errorf("%s: exported %d originals, want %d", ins.Name, es.Originals, ins.F.NumClauses())
 		}
-		if vs.Derived != es.Derived {
-			t.Errorf("%s: verified %d derived, exported %d", ins.Name, vs.Derived, es.Derived)
+		if len(replayed) != es.Derived {
+			t.Errorf("%s: replayed %d derived, exported %d", ins.Name, len(replayed), es.Derived)
+		}
+		// Replay orders each chain as Derive does.
+		i := 0
+		if err := Derive(ins.F, mt, func(c Clause) error {
+			if r := replayed[i]; r.ID != c.ID || !slices.Equal(r.Lits, c.Lits) || !slices.Equal(r.Hints, c.Hints) {
+				t.Errorf("%s: replayed %d %v hints %v, derived %d %v hints %v", ins.Name, r.ID, r.Lits, r.Hints, c.ID, c.Lits, c.Hints)
+			}
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if es.Resolutions == 0 {
 			t.Errorf("%s: no resolutions exported", ins.Name)
@@ -73,9 +102,14 @@ func TestExportVerifyEmptyClauseInput(t *testing.T) {
 	f.AddClause(1)
 	f.Add(cnf.Clause{})
 	mt := solveTrace(t, f)
-	es, _ := exportVerify(t, f, mt)
+	es, replayed := exportVerify(t, f, mt)
 	if es.Derived != 0 {
 		t.Errorf("input empty clause needs no derived lines, got %d", es.Derived)
+	}
+	// Replay restates the formula's empty clause, as Derive does.
+	if want := []Clause{{ID: 3, Lits: cnf.Clause{}, Hints: []int{2}}}; len(replayed) != 1 ||
+		replayed[0].ID != 3 || len(replayed[0].Lits) != 0 || !slices.Equal(replayed[0].Hints, want[0].Hints) {
+		t.Errorf("replayed %+v, want %+v", replayed, want)
 	}
 }
 
@@ -87,8 +121,8 @@ func TestExportVerifyBCPOnly(t *testing.T) {
 	f.AddClause(-1, 3)
 	f.AddClause(-2, -3)
 	mt := solveTrace(t, f)
-	es, vs := exportVerify(t, f, mt)
-	if es.Derived != 1 || vs.Derived != 1 {
+	es, replayed := exportVerify(t, f, mt)
+	if es.Derived != 1 || len(replayed) != 1 {
 		t.Errorf("expected exactly the final chain, got %d derived", es.Derived)
 	}
 }
@@ -123,12 +157,8 @@ func TestExportRandomUnsat(t *testing.T) {
 			t.Logf("export failed on %s: %v", cnf.DimacsString(f), err)
 			return false
 		}
-		clauses, err := Parse(strings.NewReader(sb.String()))
-		if err != nil {
-			return false
-		}
-		if _, err := Verify(f, clauses); err != nil {
-			t.Logf("verify failed on %s: %v", cnf.DimacsString(f), err)
+		if _, err := replayKernel(f, sb.String()); err != nil {
+			t.Logf("replay failed on %s: %v", cnf.DimacsString(f), err)
 			return false
 		}
 		checked++
@@ -150,6 +180,10 @@ func TestParseErrors(t *testing.T) {
 		"negative ante":      "2 1 0 -1 0\n",
 		"missing terminator": "1 2 3\n",
 		"trailing junk":      "1 2 0 0 7\n",
+		// Past the variable cap, a literal would truncate to 32 bits:
+		// -4294967297 to -1, 2147483648 to an invalid literal.
+		"literal past 32 bits": "2 -4294967297 0 0\n",
+		"literal past 31 bits": "1 2147483648 0 0\n",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
@@ -169,41 +203,53 @@ func TestParseSkipsComments(t *testing.T) {
 	}
 }
 
+// TestVerifyRejections pins what the producer and the kernel refuse,
+// and what the kernel's semantics accept where an exact-resolvent replay
+// would not.
 func TestVerifyRejections(t *testing.T) {
-	f := cnf.NewFormula(1)
+	f := cnf.NewFormula(2) // x2 occurs in no clause
 	f.AddClause(1)
 	f.AddClause(-1)
-	mustParse := func(s string) []Clause {
-		cl, err := Parse(strings.NewReader(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl
-	}
 	cases := map[string]string{
-		"no empty clause":        "1 1 0 0\n2 -1 0 0\n",
-		"wrong derived literals": "1 1 0 0\n2 -1 0 0\n3 1 0 1 2 0\n",
-		"undeclared antecedent":  "1 1 0 0\n2 -1 0 0\n3 0 1 9 0\n",
-		"duplicate index":        "1 1 0 0\n1 -1 0 0\n2 0 1 1 0\n",
-		"original mismatch":      "1 -1 0 0\n2 1 0 0\n3 0 1 2 0\n",
-		"original beyond":        "1 1 0 0\n2 -1 0 0\n5 1 0 0\n3 0 1 2 0\n",
-		"invalid chain":          "1 1 0 0\n2 -1 0 0\n3 0 1 1 0\n",
+		"no empty clause":         "1 1 0 0\n2 -1 0 0\n",
+		"chain misses its clause": "1 1 0 0\n2 -1 0 0\n3 -1 0 1 0\n4 0 2 3 0\n",
+		"undeclared antecedent":   "1 1 0 0\n2 -1 0 0\n3 0 1 9 0\n",
+		"later antecedent":        "1 1 0 0\n3 0 1 2 0\n4 -1 0 0\n",
+		"duplicate index":         "1 1 0 0\n1 1 0 0\n2 -1 0 0\n3 0 1 2 0\n",
+		"decreasing index":        "2 -1 0 0\n1 1 0 0\n3 0 1 2 0\n",
+		"original mismatch":       "1 -1 0 0\n2 1 0 0\n3 0 1 2 0\n",
+		"original beyond":         "1 1 0 0\n2 -1 0 0\n5 1 0 0\n6 0 1 2 0\n",
+		"empty original":          "1 0 0\n",
+		"literal beyond formula":  "1 1 0 0\n2 -1 0 0\n3 3 0 1 0\n4 0 1 2 0\n",
+		"invalid chain":           "1 1 0 0\n2 -1 0 0\n3 0 1 1 0\n",
 	}
 	for name, in := range cases {
-		if _, err := Verify(f, mustParse(in)); err == nil {
+		if _, err := replayKernel(f, in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// The valid proof passes.
-	if _, err := Verify(f, mustParse("1 1 0 0\n2 -1 0 0\n3 0 1 2 0\n")); err != nil {
-		t.Errorf("valid refutation rejected: %v", err)
-	}
-	// Without a formula, arbitrary axioms are allowed.
-	if _, err := Verify(nil, mustParse("1 -1 0 0\n2 1 0 0\n3 0 1 2 0\n")); err != nil {
-		t.Errorf("formula-free verify rejected: %v", err)
+	// Valid refutations of (x1) (¬x1∨x2) (¬x2), x3 occurring in none.
+	g := cnf.NewFormula(3)
+	g.AddClause(1)
+	g.AddClause(-1, 2)
+	g.AddClause(-2)
+	const originals = "1 1 0 0\n2 -1 2 0 0\n3 -2 0 0\n"
+	for name, in := range map[string]string{
+		"refutation": originals + "4 0 3 2 1 0\n",
+		// A weakening of its chain's resolvent x2, and a chain listed in
+		// an order that does not resolve linearly: the kernel follows the
+		// hints, so both are sound.
+		"weakening":       originals + "4 2 3 0 1 2 0\n5 0 3 2 1 0\n",
+		"reordered chain": originals + "4 0 1 3 2 0\n",
+	} {
+		if _, err := replayKernel(g, in); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
 	}
 }
 
+// TestVerifyDetectsTamperedExport flips a literal of a derived clause of
+// an export: the clause no longer follows from its chain.
 func TestVerifyDetectsTamperedExport(t *testing.T) {
 	ins := gen.Pigeonhole(4)
 	mt := solveTrace(t, ins.F)
@@ -226,11 +272,7 @@ func TestVerifyDetectsTamperedExport(t *testing.T) {
 			break
 		}
 	}
-	clauses, err := Parse(strings.NewReader(strings.Join(lines, "\n") + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Verify(ins.F, clauses); err == nil {
+	if _, err := replayKernel(ins.F, strings.Join(lines, "\n")+"\n"); err == nil {
 		t.Error("tampered export verified")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -62,6 +63,61 @@ func TestKernelDifferentialSuite(t *testing.T) {
 				t.Fatalf("kernel disagrees with hybrid on the DRAT proof: %v", err)
 			}
 			checkKernelCore(t, "drat", ins.F, dres)
+		})
+	}
+}
+
+// TestTraceCheckDifferential checks the TraceCheck export of every UNSAT
+// instance of the quick suite and of testdata/corpus as FormatTC, in the
+// kernel and out of core. Replay hands the kernel the clauses and hints
+// Derive does, so verdict, LearnedTotal, ResolutionSteps and core must
+// equal FormatNative's under the kernel.
+func TestTraceCheckDifferential(t *testing.T) {
+	instances := gen.SuiteQuick()
+	paths, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.cnf"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus: %v, %v", paths, err)
+	}
+	for _, p := range paths {
+		f, err := satcheck.ParseDimacsFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, gen.Instance{Name: filepath.Base(p), F: f})
+	}
+	ctx := context.Background()
+	for _, ins := range instances {
+		t.Run(ins.Name, func(t *testing.T) {
+			run, err := satcheck.SolveWithProof(ins.F, satcheck.SolverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Status != satcheck.StatusUnsat {
+				t.Skipf("instance is %v; the differential needs UNSAT", run.Status)
+			}
+			var tc bytes.Buffer
+			if err := satcheck.ExportTraceCheck(ins.F, run.Trace, &tc); err != nil {
+				t.Fatal(err)
+			}
+			want, err := satcheck.RunCheck(ctx, satcheck.CheckRequest{Formula: ins.F, Format: satcheck.FormatNative,
+				Method: satcheck.Kernel, Trace: run.Trace})
+			if err != nil || !want.Valid {
+				t.Fatalf("native kernel check: %+v, %v", want, err)
+			}
+			for _, m := range []satcheck.Method{satcheck.Kernel, satcheck.OOC} {
+				got, err := satcheck.RunCheck(ctx, satcheck.CheckRequest{Formula: ins.F, Format: satcheck.FormatTC,
+					Method: m, Proof: satcheck.ProofBytesSource(tc.Bytes()), Options: satcheck.CheckOptions{TempDir: t.TempDir()}})
+				switch {
+				case err != nil || !got.Valid:
+					t.Fatalf("tc/%s: %+v, %v", m.Name(), got, err)
+				case got.Result.LearnedTotal != want.Result.LearnedTotal ||
+					got.Result.ResolutionSteps != want.Result.ResolutionSteps:
+					t.Errorf("tc/%s: learned=%d steps=%d, native kernel learned=%d steps=%d", m.Name(),
+						got.Result.LearnedTotal, got.Result.ResolutionSteps, want.Result.LearnedTotal, want.Result.ResolutionSteps)
+				case !slices.Equal(got.Result.CoreClauses, want.Result.CoreClauses):
+					t.Errorf("tc/%s: core %v, native kernel core %v", m.Name(), got.Result.CoreClauses, want.Result.CoreClauses)
+				}
+			}
 		})
 	}
 }

@@ -31,6 +31,10 @@ const (
 	// backend (extension-variable definitions plus RUP lemmas with hints),
 	// checked by bridging to LRAT and running the hint-following verifier.
 	FormatER
+	// FormatTC is a TraceCheck file (every derived clause with its literals
+	// and resolution chain, as zproof export writes), checked by ordering
+	// each chain as hints and running the hint-following verifier.
+	FormatTC
 )
 
 // String names the format as accepted by ParseProofFormat.
@@ -44,12 +48,15 @@ func (pf ProofFormat) String() string {
 		return "lrat"
 	case FormatER:
 		return "er"
+	case FormatTC:
+		return "tc"
 	default:
 		return fmt.Sprintf("format(%d)", int(pf))
 	}
 }
 
-// ParseProofFormat parses a format name ("native", "drat", "lrat", "er").
+// ParseProofFormat parses a format name ("native", "drat", "lrat", "er",
+// "tc").
 func ParseProofFormat(s string) (ProofFormat, error) {
 	switch s {
 	case "", "native", "trace":
@@ -60,14 +67,16 @@ func ParseProofFormat(s string) (ProofFormat, error) {
 		return FormatLRAT, nil
 	case "er":
 		return FormatER, nil
+	case "tc":
+		return FormatTC, nil
 	default:
-		return FormatNative, fmt.Errorf("satcheck: unknown proof format %q (want native, drat, lrat, or er)", s)
+		return FormatNative, fmt.Errorf("satcheck: unknown proof format %q (want native, drat, lrat, er, or tc)", s)
 	}
 }
 
-// ProofSource supplies the bytes of a clausal (DRAT/LRAT) proof. Sources
-// must support repeated Open calls; gzip and the DRAT binary encoding are
-// auto-detected on read.
+// ProofSource supplies the bytes of a clausal (DRAT/LRAT/ER) proof or a
+// TraceCheck file. Sources must support repeated Open calls; gzip and the
+// DRAT binary encoding are auto-detected on clausal reads.
 type ProofSource = drat.Source
 
 // ProofFileSource reads a clausal proof from a file (".gz" handled
