@@ -193,6 +193,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATScan -fuzztime 30s ./internal/kernelcheck/
+	$(GO) test -run xxx -fuzz FuzzSpillRecord -fuzztime 30s ./internal/ooc/
 	$(GO) test -run xxx -fuzz FuzzERLRATBridge -fuzztime 30s ./internal/bdd/
 
 # Adversarial conformance campaign (differential fuzz + mutation escapes);

@@ -61,7 +61,10 @@ type CheckRequest struct {
 type CheckReport struct {
 	// Valid is true when the trace proves the formula unsatisfiable.
 	Valid bool
-	// Method echoes the traversal that produced this report.
+	// Method names the checker that produced this report: Kernel for LRAT
+	// and TraceCheck proofs (OOC when that was asked for) and for ER
+	// proofs, whatever the request named; for native traces and DRAT, the
+	// requested method, which picks the checker or the checking direction.
 	Method Method
 	// Result holds checker statistics (and, for DF/hybrid, the core) when
 	// Valid.
@@ -154,7 +157,7 @@ func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
 			res, err = kernelcheck.CheckTraceCheck(f, proofSrc, opts)
 		}
 	}
-	report := &CheckReport{Method: m, Elapsed: time.Since(start)}
+	report := &CheckReport{Method: checkerThatRan(req.Format, m), Elapsed: time.Since(start)}
 	if err != nil {
 		// Context errors win even when a checker wrapped them in a
 		// diagnostic (e.g. a CheckError around an aborted trace read).
@@ -172,6 +175,15 @@ func RunCheck(ctx context.Context, req CheckRequest) (*CheckReport, error) {
 		}
 	}
 	return report, nil
+}
+
+// checkerThatRan is the method that verifies a proof in format when m is
+// requested (see CheckReport.Method).
+func checkerThatRan(format ProofFormat, m Method) Method {
+	if format == FormatER || (format == FormatLRAT || format == FormatTC) && m != OOC {
+		return Kernel
+	}
+	return m
 }
 
 // ctxErrOr returns ctx's error if it is done, err otherwise.

@@ -50,6 +50,75 @@ func TestRunCheckValid(t *testing.T) {
 			t.Errorf("Method echo: got %v want %v", rep.Method, m)
 		}
 	}
+
+	// The report names the checker that ran: the kernel for LRAT,
+	// TraceCheck and ER proofs unless the check ran out of core, the
+	// requested method where it picks the checker or DRAT's direction.
+	g := phpFormula(4)
+	gt, proofs := proofsOf(t, g)
+	cases := []struct {
+		format          satcheck.ProofFormat
+		method, checker satcheck.Method
+	}{
+		{satcheck.FormatNative, satcheck.Kernel, satcheck.Kernel},
+		{satcheck.FormatNative, satcheck.OOC, satcheck.OOC},
+		{satcheck.FormatDRAT, satcheck.BreadthFirst, satcheck.BreadthFirst},
+		{satcheck.FormatDRAT, satcheck.Hybrid, satcheck.Hybrid},
+		{satcheck.FormatDRAT, satcheck.Kernel, satcheck.Kernel},
+		{satcheck.FormatLRAT, satcheck.DepthFirst, satcheck.Kernel},
+		{satcheck.FormatLRAT, satcheck.Parallel, satcheck.Kernel},
+		{satcheck.FormatLRAT, satcheck.OOC, satcheck.OOC},
+		{satcheck.FormatER, satcheck.DepthFirst, satcheck.Kernel},
+		{satcheck.FormatER, satcheck.BDD, satcheck.Kernel},
+		{satcheck.FormatTC, satcheck.BreadthFirst, satcheck.Kernel},
+		{satcheck.FormatTC, satcheck.OOC, satcheck.OOC},
+	}
+	for _, c := range cases {
+		req := satcheck.CheckRequest{Formula: g, Format: c.format, Method: c.method,
+			Options: satcheck.CheckOptions{TempDir: t.TempDir()}}
+		if c.format == satcheck.FormatNative {
+			req.Trace = gt
+		} else {
+			req.Proof = satcheck.ProofBytesSource(proofs[c.format])
+		}
+		rep, err := satcheck.RunCheck(context.Background(), req)
+		if err != nil || !rep.Valid {
+			t.Fatalf("%s/%s: report %+v, err %v; want valid", c.format, c.method.Name(), rep, err)
+		}
+		if rep.Method != c.checker {
+			t.Errorf("%s/%s: Method %v, want %v", c.format, c.method.Name(), rep.Method, c.checker)
+		}
+	}
+}
+
+// proofsOf solves the UNSAT formula f and returns its native trace and its
+// proof in every other format, indexed by format.
+func proofsOf(t *testing.T, f *satcheck.Formula) (satcheck.TraceSource, [satcheck.FormatTC + 1][]byte) {
+	t.Helper()
+	var proofs [satcheck.FormatTC + 1][]byte
+	st, mt, dratProof := solveBoth(t, f)
+	if st != satcheck.StatusUnsat {
+		t.Fatalf("solved %v, want UNSAT", st)
+	}
+	var lrat, er, tc bytes.Buffer
+	if _, err := satcheck.TraceToLRAT(f, mt, &lrat, satcheck.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := satcheck.ExportTraceCheck(f, mt, &tc); err != nil {
+		t.Fatal(err)
+	}
+	bres, err := satcheck.SolveBDD(f, satcheck.BDDOptions{Proof: true})
+	if err != nil || bres.Status != satcheck.StatusUnsat {
+		t.Fatalf("SolveBDD: %v, %v", bres, err)
+	}
+	if err := satcheck.WriteERProof(&er, bres.Proof); err != nil {
+		t.Fatal(err)
+	}
+	proofs[satcheck.FormatDRAT] = dratProof
+	proofs[satcheck.FormatLRAT] = lrat.Bytes()
+	proofs[satcheck.FormatER] = er.Bytes()
+	proofs[satcheck.FormatTC] = tc.Bytes()
+	return mt, proofs
 }
 
 // TestRunCheckRejectionIsReport pins the service-critical contract: a bad
@@ -137,24 +206,7 @@ func TestRunCheckMatrix(t *testing.T) {
 	v := f.NumVars
 	f.AddClause(v+1, v+2)
 	f.AddClause(-(v + 1), v+3)
-	st, mt, dratProof := solveBoth(t, f)
-	if st != satcheck.StatusUnsat {
-		t.Fatalf("padded php-4 solved %v", st)
-	}
-	var lrat, er, tc bytes.Buffer
-	if _, err := satcheck.TraceToLRAT(f, mt, &lrat, satcheck.CheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := satcheck.ExportTraceCheck(f, mt, &tc); err != nil {
-		t.Fatal(err)
-	}
-	bres, err := satcheck.SolveBDD(f, satcheck.BDDOptions{Proof: true})
-	if err != nil || bres.Status != satcheck.StatusUnsat {
-		t.Fatalf("SolveBDD: %v, %v", bres, err)
-	}
-	if err := satcheck.WriteERProof(&er, bres.Proof); err != nil {
-		t.Fatal(err)
-	}
+	mt, proofs := proofsOf(t, f)
 	// Columns: df bf hybrid parallel bdd kernel ooc.
 	methods := []satcheck.Method{satcheck.DepthFirst, satcheck.BreadthFirst, satcheck.Hybrid,
 		satcheck.Parallel, satcheck.BDD, satcheck.Kernel, satcheck.OOC}
@@ -165,10 +217,10 @@ func TestRunCheckMatrix(t *testing.T) {
 		proof  []byte
 	}{
 		{satcheck.FormatNative, "c-ccxcc", mt, nil},
-		{satcheck.FormatDRAT, "c-ccxcc", nil, dratProof},
-		{satcheck.FormatLRAT, "ccccxcc", nil, lrat.Bytes()},
-		{satcheck.FormatER, "------x", nil, er.Bytes()},
-		{satcheck.FormatTC, "ccccxcc", nil, tc.Bytes()},
+		{satcheck.FormatDRAT, "c-ccxcc", nil, proofs[satcheck.FormatDRAT]},
+		{satcheck.FormatLRAT, "ccccxcc", nil, proofs[satcheck.FormatLRAT]},
+		{satcheck.FormatER, "------x", nil, proofs[satcheck.FormatER]},
+		{satcheck.FormatTC, "ccccxcc", nil, proofs[satcheck.FormatTC]},
 	}
 	wantCore := make([]int, 0, f.NumClauses()-2)
 	for i := 0; i < f.NumClauses()-2; i++ {

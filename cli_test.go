@@ -109,10 +109,19 @@ func TestCLISolveVerifyPipeline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("zproof export exit %d: %s", code, out)
 	}
-	for _, args := range [][]string{{"-format", "tc"}, {"-method", "ooc", "-format", "tc"}} {
-		out, code = runTool(t, "zverify", append(args, cnfPath, tcPath)...)
-		if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, "format=tc") {
-			t.Fatalf("zverify %v exit %d: %s", args, code, out)
+	// The summary names the checker that ran: the kernel, whatever the
+	// method, unless the check ran out of core.
+	for _, c := range []struct {
+		args    []string
+		checker string
+	}{
+		{[]string{"-format", "tc"}, "method=kernel format=tc"},
+		{[]string{"-method", "bf", "-format", "tc"}, "method=kernel format=tc"},
+		{[]string{"-method", "ooc", "-format", "tc"}, "method=ooc format=tc"},
+	} {
+		out, code = runTool(t, "zverify", append(c.args, cnfPath, tcPath)...)
+		if code != 0 || !strings.Contains(out, "PROOF VALID") || !strings.Contains(out, c.checker) {
+			t.Fatalf("zverify %v exit %d, want %q: %s", c.args, code, c.checker, out)
 		}
 	}
 	// A TraceCheck check needs the formula: the file stating the empty

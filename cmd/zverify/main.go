@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := rep.Result
 	fmt.Fprintln(stdout, "RESULT: PROOF VALID — the formula is unsatisfiable")
 	fmt.Fprintf(stdout, "method=%s format=%s time=%v learned=%d built=%d (%.1f%%) resolutions=%d peak-mem=%dKB\n",
-		m, format, rep.Elapsed.Round(time.Millisecond), res.LearnedTotal, res.ClausesBuilt,
+		rep.Method, format, rep.Elapsed.Round(time.Millisecond), res.LearnedTotal, res.ClausesBuilt,
 		100*res.BuiltFraction(), res.ResolutionSteps, res.PeakMemWords*4/1024)
 	if res.OOCWindows > 0 {
 		fmt.Fprintf(stdout, "ooc: windows=%d spilled-clauses=%d spilled-bytes=%d mem-budget=%dKB\n",

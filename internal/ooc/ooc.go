@@ -28,7 +28,12 @@
 //
 // An accepted proof reports the same statistics and the same unsat core as
 // the unconstrained kernel (the core is recomputed by an identical
-// backward hint-closure pass over the windows).
+// backward hint-closure pass over the windows, which skips every window
+// with no marked addition).
+//
+// A check reads the proof twice: one planning pass that validates it and
+// records where each clause is last referenced, and one window pass that
+// cuts, checks and retires the windows as it parses them.
 package ooc
 
 import (
@@ -68,11 +73,13 @@ const (
 	stDead
 )
 
-// window is one contiguous run of proof lines, re-parsed from the mapped
-// proof bytes each time it is needed.
+// window is one contiguous run of proof lines, cut by the window pass. The
+// core pass re-parses it from the mapped proof bytes when one of its
+// additions is marked.
 type window struct {
-	start int64 // byte offset of the first line
-	ops   int
+	start             int64 // byte offset of the first line
+	ops               int
+	firstAdd, lastAdd int32 // IDs of its first and last additions, 0 if none
 }
 
 // CheckLRAT verifies an LRAT proof of f out of core. File-backed sources
@@ -198,15 +205,18 @@ type run struct {
 	budgetWords int64
 	capWords    int64
 
-	// Plan (pass A).
-	windows  []window
+	// Sizes from the planning pass.
 	nAdds    int
 	maxAddID int32
 	pMaxVar  int32
 	idSpace  int32
 
+	// Windows cut so far, and the ordinal of the first line after the last.
+	windows []window
+	nextOrd int32
+
 	// Global clause state across windows, indexed by clause ID.
-	lastRef  []int32 // last window index referencing the ID, -1 if none
+	lastRef  []int32 // ordinal of the last line referencing the ID, -1 if none
 	status   []uint8
 	spillRef []int64 // spill ref + 1; 0 = not spilled
 
@@ -219,10 +229,10 @@ type run struct {
 	kp    kernel.Proof
 
 	// Scratch, reused across windows.
-	buf     kernel.Proof
-	scratch kernel.Proof
-	refs    []int32
-	spl     []int32
+	buf      kernel.Proof
+	scratch  kernel.Proof
+	refs     []int32 // the window's referenced IDs, sorted
+	refLocal []int32 // the local ID of each of refs
 
 	// Current-window translation state (local kernel IDs → global IDs).
 	curImports  []int32
@@ -235,9 +245,8 @@ type run struct {
 	curLocal    int32 // local original count (imports + tombs + poison)
 	curDelBase  int32
 
-	statBuilt   int
-	statSteps   int64
-	statWindows int
+	statBuilt int
+	statSteps int64
 }
 
 func (r *run) check() (*checker.Result, error) {
@@ -246,9 +255,6 @@ func (r *run) check() (*checker.Result, error) {
 		return nil, err
 	}
 	if err := r.budgetPlan(); err != nil {
-		return nil, err
-	}
-	if err := r.planWindows(); err != nil {
 		return nil, err
 	}
 	return r.checkWindows()
@@ -307,14 +313,19 @@ func parseReject(err error) error {
 	return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep, Err: err}
 }
 
-// validate is pass A part 1: a full streaming parse that rejects malformed
-// proofs up front (the in-memory path parses before checking, so a syntax
-// error anywhere in the file rejects the proof there too, ahead of any
-// 31-bit range error) and gathers the sizes the budget arithmetic needs.
+// validate is the planning pass: one streaming parse that rejects
+// malformed proofs up front (the in-memory path parses before checking,
+// so a syntax error anywhere in the file rejects the proof there too,
+// ahead of any 31-bit range error), gathers the sizes the budget
+// arithmetic needs, and records for each added clause the ordinal of the
+// last line that references it (hint or deletion): the spill criterion.
+// A reference to a clause not yet added is dropped, since it precedes the
+// addition and so never decides a spill.
 func (r *run) validate() error {
 	s := kernelcheck.NewScanner(r.data, 0)
 	maxAddID := r.nOrig
-	n := 0
+	admit := r.admitIDs()
+	var n int32 // lines scanned: the ordinal of the next one
 	for {
 		resetOps(&r.scratch)
 		err := s.ScanOp(&r.scratch)
@@ -324,13 +335,32 @@ func (r *run) validate() error {
 		if err != nil {
 			return parseReject(err)
 		}
+		if n == math.MaxInt32 {
+			return &checker.CheckError{Kind: checker.FailTrace, ClauseID: -1, Step: noStep,
+				Detail: "proof has more lines than out-of-core checking numbers in 31 bits"}
+		}
+		ord := n
 		if n++; n%4096 == 0 {
 			if err := r.poll(); err != nil {
 				return err
 			}
 		}
-		if op := &r.scratch.Ops[0]; !op.Del && op.ID > maxAddID {
-			maxAddID = op.ID
+		op := &r.scratch.Ops[0]
+		refs := r.scratch.Dels
+		if !op.Del {
+			if op.ID > maxAddID {
+				maxAddID = op.ID
+				r.growLastRef(op.ID, admit)
+			}
+			refs = r.scratch.Hints
+		}
+		for _, id := range refs {
+			if id < 0 {
+				id = -id
+			}
+			if int(id) < len(r.lastRef) {
+				r.lastRef[id] = ord
+			}
 		}
 	}
 	if err := s.RangeErr(); err != nil {
@@ -349,6 +379,47 @@ func (r *run) validate() error {
 	return nil
 }
 
+// metaWords is the resident per-ID state of an ID space of n IDs.
+func metaWords(n int64) int64 {
+	return n + // lastRef (int32)
+		2*n + // spillRef (int64)
+		(n+3)/4 + // status (uint8)
+		(n+31)/32 // core mark bitset
+}
+
+// admitIDs returns the widest ID space whose per-ID state fits the budget
+// beside the formula's own resident words. The planning pass records last
+// references for no more IDs than that: a proof that adds a wider ID
+// fails budgetPlan's resident-state check once the pass ends.
+func (r *run) admitIDs() int64 {
+	avail := r.budgetWords - int64(len(r.fLits)+len(r.fOff)) - 8*(int64(r.fMaxVar)+2)
+	n := max(avail*32/105+1, 0) // metaWords(n) >= 105n/32 > avail
+	for n > 0 && metaWords(n) > avail {
+		n--
+	}
+	return n
+}
+
+// growLastRef extends lastRef to cover id, growing it no wider than admit
+// entries. An ID past admit leaves it as it is: no proof that adds one
+// passes the resident-state check.
+func (r *run) growLastRef(id int32, admit int64) {
+	n := int(id) + 1
+	if int64(n) > admit {
+		return
+	}
+	if n > cap(r.lastRef) {
+		grown := make([]int32, len(r.lastRef), min(max(2*cap(r.lastRef), n, 1024), int(admit)))
+		copy(grown, r.lastRef)
+		r.lastRef = grown
+	}
+	old := len(r.lastRef)
+	r.lastRef = r.lastRef[:n]
+	for i := old; i < n; i++ {
+		r.lastRef[i] = -1
+	}
+}
+
 // budgetPlan turns the byte budget into a window word cap. Resident state —
 // per-ID metadata, the flattened formula, and the kernel's variable-indexed
 // arrays — must fit the budget outright; what remains is split so one
@@ -359,13 +430,9 @@ func (r *run) budgetPlan() error {
 	if int64(r.maxAddID)+1 > idSpace {
 		idSpace = int64(r.maxAddID) + 1
 	}
-	metaWords := idSpace + // lastRef (int32)
-		2*idSpace + // spillRef (int64)
-		(idSpace+3)/4 + // status (uint8)
-		(idSpace+31)/32 // core mark bitset
 	formulaWords := int64(len(r.fLits) + len(r.fOff))
 	fixedWords := 8 * (int64(r.numVars) + 2) // kernel val/trail/occ heads
-	r.residentWords = metaWords + formulaWords + fixedWords
+	r.residentWords = metaWords(idSpace) + formulaWords + fixedWords
 	if r.residentWords > r.budgetWords {
 		return &checker.CheckError{Kind: checker.FailMemoryLimit, ClauseID: -1, Step: noStep,
 			Detail: fmt.Sprintf("out-of-core resident state needs %d words, over the %d-word budget (raise -mem-budget)",
@@ -379,10 +446,6 @@ func (r *run) budgetPlan() error {
 		r.capWords = minWindowWords
 	}
 	r.idSpace = int32(idSpace)
-	r.lastRef = make([]int32, idSpace)
-	for i := range r.lastRef {
-		r.lastRef[i] = -1
-	}
 	r.status = make([]uint8, idSpace)
 	for id := int32(1); id <= r.nOrig; id++ {
 		r.status[id] = stLive
@@ -391,62 +454,8 @@ func (r *run) budgetPlan() error {
 	return nil
 }
 
-// planWindows is pass A part 2: a second streaming scan that cuts the
-// proof into windows at the word cap and records, per clause ID, the last
-// window that references it (hint or deletion) — the spill criterion.
-func (r *run) planWindows() error {
-	s := kernelcheck.NewScanner(r.data, 0)
-	var w window
-	var words int64
-	n := 0
-	for {
-		off := s.Offset()
-		resetOps(&r.scratch)
-		err := s.ScanOp(&r.scratch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return parseReject(err)
-		}
-		if n++; n%4096 == 0 {
-			if err := r.poll(); err != nil {
-				return err
-			}
-		}
-		opW := opWords(&r.scratch)
-		if w.ops > 0 && words+opW > r.capWords {
-			r.windows = append(r.windows, w)
-			w = window{start: off}
-			words = 0
-		}
-		w.ops++
-		words += opW
-		wi := int32(len(r.windows))
-		op := &r.scratch.Ops[0]
-		if op.Del {
-			for _, d := range r.scratch.Dels {
-				if d < r.idSpace {
-					r.lastRef[d] = wi
-				}
-			}
-			continue
-		}
-		for _, h := range r.scratch.Hints {
-			if h < 0 {
-				h = -h
-			}
-			if h < r.idSpace {
-				r.lastRef[h] = wi
-			}
-		}
-	}
-	if w.ops > 0 {
-		r.windows = append(r.windows, w)
-	}
-	return nil
-}
-
+// checkWindows is the window pass: it cuts each window as it parses it,
+// checks it, and retires it into the global state before the next.
 func (r *run) checkWindows() (*checker.Result, error) {
 	sp, err := newSpillIndex(r.opts.TempDir)
 	if err != nil {
@@ -454,8 +463,20 @@ func (r *run) checkWindows() (*checker.Result, error) {
 	}
 	r.spill = sp
 	lastID := r.nOrig
-	for wi := range r.windows {
-		res, done, err := r.checkWindow(wi, &lastID)
+	for off := int64(0); ; {
+		if err := r.poll(); err != nil {
+			return nil, err
+		}
+		var w window
+		if w, off, err = r.cutWindow(off); err != nil {
+			return nil, err
+		}
+		if w.ops == 0 {
+			break
+		}
+		r.windows = append(r.windows, w)
+		r.nextOrd += int32(w.ops)
+		res, done, err := r.checkWindow(len(r.windows)-1, &lastID)
 		if err != nil {
 			return nil, err
 		}
@@ -467,8 +488,45 @@ func (r *run) checkWindows() (*checker.Result, error) {
 		Detail: "LRAT proof ends without deriving the empty clause"}
 }
 
-// parseWindow re-reads window wi's lines from the mapped proof into r.buf.
-func (r *run) parseWindow(wi int) error {
+// cutWindow parses the window that starts at byte off into r.buf and
+// returns it with the offset of the line after it. A window takes lines
+// until the next would carry its parse words past capWords, and always
+// takes at least one.
+func (r *run) cutWindow(off int64) (window, int64, error) {
+	b := &r.buf
+	resetOps(b)
+	s := kernelcheck.NewScanner(r.data, off)
+	w := window{start: off}
+	var words int64
+	for {
+		next := s.Offset()
+		nLits, nHints, nDels := len(b.Lits), len(b.Hints), len(b.Dels)
+		err := s.ScanOp(b)
+		if err == io.EOF {
+			return w, next, nil
+		}
+		if err != nil {
+			return w, next, fmt.Errorf("ooc: internal: window %d re-parse diverged: %w", len(r.windows), err)
+		}
+		opW := int64(len(b.Lits)-nLits+len(b.Hints)-nHints+len(b.Dels)-nDels) + opOverheadWords
+		if w.ops > 0 && words+opW > r.capWords {
+			// The line opens the next window: give it back.
+			b.Ops, b.Lits, b.Hints, b.Dels = b.Ops[:w.ops], b.Lits[:nLits], b.Hints[:nHints], b.Dels[:nDels]
+			return w, next, nil
+		}
+		if op := &b.Ops[w.ops]; !op.Del {
+			if w.firstAdd == 0 {
+				w.firstAdd = op.ID
+			}
+			w.lastAdd = op.ID
+		}
+		w.ops++
+		words += opW
+	}
+}
+
+// reparse re-reads window wi's lines from the mapped proof into r.buf.
+func (r *run) reparse(wi int) error {
 	w := r.windows[wi]
 	resetOps(&r.buf)
 	s := kernelcheck.NewScanner(r.data, w.start)
@@ -480,13 +538,8 @@ func (r *run) parseWindow(wi int) error {
 	return nil
 }
 
+// checkWindow checks window wi, which r.buf holds.
 func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) {
-	if err := r.poll(); err != nil {
-		return nil, false, err
-	}
-	if err := r.parseWindow(wi); err != nil {
-		return nil, false, err
-	}
 	ops := r.buf.Ops
 
 	// The global ID-order invariant is checked here, against the last add
@@ -538,17 +591,27 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	slices.Sort(r.curPoison)
 	r.curPoison = slices.Compact(r.curPoison)
 
-	// Split references into live imports and tombstones.
+	// Split references into the window's own additions, live imports and
+	// tombstones. Both lists are sorted, so one merge finds the own ones;
+	// each is noted as -1-k for the k-th addition until curLocal is known.
 	r.curImports = r.curImports[:0]
 	r.curTombs = r.curTombs[:0]
+	r.refLocal = r.refLocal[:0]
+	adds := r.curWinAdds
+	k := 0
 	for _, ref := range r.refs {
-		if _, own := slices.BinarySearch(r.curWinAdds, ref); own {
-			continue
+		for k < len(adds) && adds[k] < ref {
+			k++
 		}
-		if ref < r.idSpace && r.status[ref] == stLive {
+		switch {
+		case k < len(adds) && adds[k] == ref:
+			r.refLocal = append(r.refLocal, -1-int32(k))
+		case ref < r.idSpace && r.status[ref] == stLive:
 			r.curImports = append(r.curImports, ref)
-		} else {
+			r.refLocal = append(r.refLocal, 0)
+		default:
 			r.curTombs = append(r.curTombs, ref)
+			r.refLocal = append(r.refLocal, 0)
 		}
 	}
 
@@ -565,12 +628,10 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 			if ref == 0 {
 				return nil, false, fmt.Errorf("ooc: internal: clause %d live but never spilled", id)
 			}
-			lits, err := r.spill.get(ref-1, id, r.spl)
-			if err != nil {
+			var err error
+			if kf.Lits, err = r.spill.get(ref-1, id, kf.Lits); err != nil {
 				return nil, false, spillReject(err)
 			}
-			r.spl = lits
-			kf.Lits = append(kf.Lits, lits...)
 		}
 		kf.Off = append(kf.Off, int32(len(kf.Lits)))
 	}
@@ -584,6 +645,22 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	r.curNTomb = int32(len(r.curTombs))
 	r.curLocal = r.curNImp + r.curNTomb + 1
 	r.curDelBase = r.curLocal + int32(len(r.curWinAdds)) + 1
+
+	// Number every referenced ID once: imports and tombstones are sorted
+	// subsequences of refs, so each takes the next local ID of its list.
+	var ni, nt int32
+	for i, ref := range r.refs {
+		switch {
+		case r.refLocal[i] < 0:
+			r.refLocal[i] = r.curLocal - r.refLocal[i]
+		case ni < r.curNImp && r.curImports[ni] == ref:
+			ni++
+			r.refLocal[i] = ni
+		default:
+			nt++
+			r.refLocal[i] = r.curNImp + nt
+		}
+	}
 
 	// Window-local proof: delete the tombstones first (so stale references
 	// hit "not live"/"unknown clause" exactly as in memory), then the
@@ -639,7 +716,6 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 
 	kres, kerr := r.ck.Check(kf, kp, kernel.Options{Interrupt: r.opts.Interrupt})
 	r.statSteps += r.ck.Steps()
-	r.statWindows++
 
 	winWords := opWords(&r.buf) + int64(len(kf.Lits)) + 2*int64(len(kf.Off)) + r.ck.PeakMemWords()
 	if total := r.residentWords + winWords; total > r.peakWords {
@@ -687,13 +763,13 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 			PeakMemBoundWords: r.budgetWords,
 			CoreClauses:       core,
 			CoreVars:          coreVars,
-			OOCWindows:        r.statWindows,
+			OOCWindows:        len(r.windows),
 			SpilledClauses:    r.spill.clauses,
 			SpilledBytes:      r.spill.bytes,
 		}, true, nil
 	}
-	ke := &kernel.Error{}
-	if !errors.As(kerr, &ke) {
+	ke, ok := kerr.(*kernel.Error)
+	if !ok {
 		return nil, false, kerr // Options.Interrupt error, verbatim
 	}
 	if ke.Code != kernel.ErrNotEmpty {
@@ -706,24 +782,17 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 		return nil, false, stopErr
 	}
 	r.statBuilt += kp.NumAdds
-	if err := r.retire(wi, stop, lastID); err != nil {
-		return nil, false, err
+	if err := r.retire(stop, lastID); err != nil {
+		return nil, false, spillReject(err)
 	}
 	return nil, false, nil
 }
 
 // mapRef renumbers a global clause reference into the current window's
-// local ID space. Every reference was classified above, so exactly one
-// of the three searches hits.
+// local ID space: every reference is in refs, numbered above.
 func (r *run) mapRef(ref int32) int32 {
-	if i, ok := slices.BinarySearch(r.curWinAdds, ref); ok {
-		return r.curLocal + 1 + int32(i)
-	}
-	if i, ok := slices.BinarySearch(r.curImports, ref); ok {
-		return 1 + int32(i)
-	}
-	i, _ := slices.BinarySearch(r.curTombs, ref)
-	return r.curNImp + 1 + int32(i)
+	i, _ := slices.BinarySearch(r.refs, ref)
+	return r.refLocal[i]
 }
 
 // localToGlobal inverts mapRef for error reporting (plus deletion-line and
@@ -777,7 +846,7 @@ func spillReject(err error) error {
 // retire folds a fully verified window into the global state: replay its
 // additions and deletions onto the liveness map, then spill every addition
 // that is still live and referenced by a later window.
-func (r *run) retire(wi, stop int, lastID *int32) error {
+func (r *run) retire(stop int, lastID *int32) error {
 	ops := r.buf.Ops
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
@@ -794,7 +863,7 @@ func (r *run) retire(wi, stop int, lastID *int32) error {
 	}
 	for i := 0; i < stop; i++ {
 		op := &ops[i]
-		if op.Del || r.status[op.ID] != stLive || r.lastRef[op.ID] <= int32(wi) {
+		if op.Del || r.status[op.ID] != stLive || r.lastRef[op.ID] < r.nextOrd {
 			continue
 		}
 		ref, err := r.spill.put(op.ID, r.buf.Lits[op.LitOff:op.LitOff+op.LitN])
@@ -811,7 +880,9 @@ func (r *run) retire(wi, stop int, lastID *int32) error {
 // proof order, expanding marked additions into their hints. The surviving
 // marked originals are the unsat core — identical, clause for clause, to
 // kernel.Result.Core on the unwindowed proof, because both walks visit the
-// same additions in the same order with the same expansion rule.
+// same additions in the same order with the same expansion rule. A window
+// none of whose additions is marked when the walk reaches it expands
+// nothing, so it is skipped unparsed.
 func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 	marked := make([]uint64, (int(r.idSpace)+63)/64)
 	mark := func(id int32) {
@@ -847,7 +918,12 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		if err := r.poll(); err != nil {
 			return nil, 0, err
 		}
-		if err := r.parseWindow(w); err != nil {
+		// IDs increase in an accepted proof, so the window's additions are
+		// exactly the marks between its first and last addition IDs.
+		if win := r.windows[w]; win.lastAdd == 0 || !anyMarked(marked, win.firstAdd, win.lastAdd) {
+			continue
+		}
+		if err := r.reparse(w); err != nil {
 			return nil, 0, err
 		}
 		walk(len(r.buf.Ops) - 1)
@@ -868,4 +944,21 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		}
 	}
 	return core, vars, nil
+}
+
+// anyMarked reports whether the bitset marks any ID in [lo, hi].
+func anyMarked(marked []uint64, lo, hi int32) bool {
+	for w := lo >> 6; w <= hi>>6; w++ {
+		m := marked[w]
+		if w == lo>>6 {
+			m &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if w == hi>>6 {
+			m &= ^uint64(0) >> (63 - uint(hi)&63)
+		}
+		if m != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
+
+	"satcheck/internal/ooc/mmapio"
 )
 
 // The spill index is the disk half of window shifting: a learned clause
@@ -23,6 +25,12 @@ import (
 // Segment format: "OOCS1\n" magic, then records of
 //
 //	uvarint(id) uvarint(nlits) uvarint(lit)... crc32(le, payload)
+//
+// A sealed segment is mapped read-only (internal/ooc/mmapio) once its
+// length and magic check out, and every record is decoded from the mapped
+// bytes: an import costs no system call and no buffer. The spill
+// directory is private to the check, so nothing truncates a segment under
+// its mapping.
 //
 // A spill ref packs (segment, offset) into an int64: segment<<refSegShift | offset.
 const (
@@ -41,27 +49,26 @@ type errSpillCorrupt struct{ detail string }
 
 func (e *errSpillCorrupt) Error() string { return "ooc: spill index corrupt: " + e.detail }
 
-type spillSeg struct {
-	f    *os.File
-	size int64
+func spillCorrupt(format string, args ...any) error {
+	return &errSpillCorrupt{detail: fmt.Sprintf(format, args...)}
 }
 
 // spillIndex owns the spill directory for one check run.
 type spillIndex struct {
-	root    string
-	dir     string
-	segs    []spillSeg
-	cur     *os.File // current spool, nil between windows
-	curW    *bufio.Writer
-	curOff  int64
-	scratch []byte
+	root   string
+	dir    string
+	segs   []*mmapio.Data
+	cur    *os.File // current spool, nil between windows
+	curW   *bufio.Writer
+	curOff int64
 
 	clauses int64
 	bytes   int64
 }
 
-// afterSpillWindow is a test hook run after each segment is sealed, used to
-// fault-inject corruption between the write and the read-back.
+// afterSpillWindow is a test hook run after each segment is sealed and
+// before it is mapped, used to fault-inject corruption between the write
+// and the read-back.
 var afterSpillWindow func(segPath string)
 
 func newSpillIndex(tempDir string) (*spillIndex, error) {
@@ -77,15 +84,13 @@ func newSpillIndex(tempDir string) (*spillIndex, error) {
 	return &spillIndex{root: root, dir: dir}, nil
 }
 
-// Close releases segment handles and deletes the spill directory.
+// Close unmaps the segments and deletes the spill directory.
 func (sp *spillIndex) Close() error {
 	if sp == nil {
 		return nil
 	}
-	for _, s := range sp.segs {
-		if s.f != nil {
-			s.f.Close()
-		}
+	for _, d := range sp.segs {
+		d.Close()
 	}
 	sp.segs = nil
 	if sp.cur != nil {
@@ -101,6 +106,18 @@ func (sp *spillIndex) segPath(idx int, spool bool) string {
 		ext = ".spool"
 	}
 	return filepath.Join(sp.dir, fmt.Sprintf("seg-%06d%s", idx, ext))
+}
+
+// appendRecord appends the spill record of clause id, whose literals are
+// kernel-encoded, to buf.
+func appendRecord(buf []byte, id int32, lits []int32) []byte {
+	start := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(uint32(id)))
+	buf = binary.AppendUvarint(buf, uint64(uint32(len(lits))))
+	for _, l := range lits {
+		buf = binary.AppendUvarint(buf, uint64(uint32(l)))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // put appends one clause to the current window's segment, opening the
@@ -123,30 +140,20 @@ func (sp *spillIndex) put(id int32, lits []int32) (int64, error) {
 		}
 		sp.curOff = int64(len(spillMagic))
 	}
-	need := 2*binary.MaxVarintLen32 + len(lits)*binary.MaxVarintLen32 + 4
-	if cap(sp.scratch) < need {
-		sp.scratch = make([]byte, need)
-	}
-	buf := sp.scratch[:0]
-	buf = binary.AppendUvarint(buf, uint64(uint32(id)))
-	buf = binary.AppendUvarint(buf, uint64(uint32(len(lits))))
-	for _, l := range lits {
-		buf = binary.AppendUvarint(buf, uint64(uint32(l)))
-	}
-	sum := crc32.ChecksumIEEE(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	if _, err := sp.curW.Write(buf); err != nil {
+	rec := appendRecord(sp.curW.AvailableBuffer(), id, lits)
+	if _, err := sp.curW.Write(rec); err != nil {
 		return 0, err
 	}
 	ref := int64(len(sp.segs))<<refSegShift | sp.curOff
-	sp.curOff += int64(len(buf))
+	sp.curOff += int64(len(rec))
 	sp.clauses++
-	sp.bytes += int64(len(buf))
+	sp.bytes += int64(len(rec))
 	return ref, nil
 }
 
 // seal finishes the current window's segment: flush, rename the spool into
-// place, and reopen it read-only for later windows. A window that spilled
+// place, and map it read-only for later windows, checking that it holds
+// exactly the bytes written behind the magic. A window that spilled
 // nothing leaves no segment behind and is a no-op.
 func (sp *spillIndex) seal() error {
 	if sp.cur == nil {
@@ -164,83 +171,85 @@ func (sp *spillIndex) seal() error {
 	if err := os.Rename(sp.segPath(idx, true), final); err != nil {
 		return err
 	}
-	f, err := os.Open(final)
+	if afterSpillWindow != nil {
+		afterSpillWindow(final)
+	}
+	d, err := mmapio.Open(final)
 	if err != nil {
 		return err
 	}
-	sp.segs = append(sp.segs, spillSeg{f: f, size: sp.curOff})
-	if afterSpillWindow != nil {
-		afterSpillWindow(final)
+	sp.segs = append(sp.segs, d)
+	b := d.Bytes()
+	if int64(len(b)) != sp.curOff {
+		return spillCorrupt("segment %d holds %d bytes, %d were written", idx, len(b), sp.curOff)
+	}
+	if string(b[:len(spillMagic)]) != spillMagic {
+		return spillCorrupt("bad segment magic")
 	}
 	return nil
 }
 
-// crcByteReader feeds binary.ReadUvarint while accumulating the CRC of
-// every byte consumed, so get can verify the record without buffering it.
-type crcByteReader struct {
-	r   *bufio.Reader
-	crc uint32
-}
-
-func (c *crcByteReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
-	}
-	return b, err
-}
-
-// get reads the clause spilled at ref back into dst (reused), verifying
-// the stored id and checksum. Any mismatch is corruption and fails closed.
+// get appends the literals of the clause spilled at ref to dst.
 func (sp *spillIndex) get(ref int64, wantID int32, dst []int32) ([]int32, error) {
-	seg := int(ref >> refSegShift)
-	off := ref & refOffMask
-	if seg < 0 || seg >= len(sp.segs) {
-		return nil, &errSpillCorrupt{detail: fmt.Sprintf("ref to unknown segment %d", seg)}
+	seg := ref >> refSegShift
+	if seg < 0 || seg >= int64(len(sp.segs)) {
+		return dst, spillCorrupt("ref to unknown segment %d", seg)
 	}
-	s := sp.segs[seg]
-	if off < int64(len(spillMagic)) || off >= s.size {
-		return nil, &errSpillCorrupt{detail: fmt.Sprintf("ref offset %d out of segment bounds", off)}
+	return decodeRecord(sp.segs[seg].Bytes(), ref&refOffMask, wantID, dst)
+}
+
+// decodeRecord appends the literals of the record at off in seg to dst,
+// verifying that the record lies inside seg, is clause wantID's, is
+// encoded as appendRecord encodes it, and matches its checksum. Any
+// mismatch is corruption and fails closed, with dst returned as it came.
+func decodeRecord(seg []byte, off int64, wantID int32, dst []int32) ([]int32, error) {
+	if off < int64(len(spillMagic)) || off >= int64(len(seg)) {
+		return dst, spillCorrupt("ref offset %d out of segment bounds", off)
 	}
-	// Verify the magic once per read: cheap, and catches a truncated or
-	// rewritten segment even when the record itself happens to decode.
-	var magic [len(spillMagic)]byte
-	if _, err := s.f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != spillMagic {
-		return nil, &errSpillCorrupt{detail: "bad segment magic"}
+	rec := seg[off:]
+	id, p := uvarint(rec)
+	if p <= 0 {
+		return dst, spillCorrupt("truncated record header")
 	}
-	cr := &crcByteReader{r: bufio.NewReaderSize(io.NewSectionReader(s.f, off, s.size-off), 4096)}
-	id64, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, &errSpillCorrupt{detail: "truncated record header"}
+	if id > math.MaxUint32 || int32(uint32(id)) != wantID {
+		return dst, spillCorrupt("record id %d, expected %d", id, wantID)
 	}
-	if int32(uint32(id64)) != wantID || id64 > uint64(^uint32(0)) {
-		return nil, &errSpillCorrupt{detail: fmt.Sprintf("record id %d, expected %d", id64, wantID)}
+	nlits, n := uvarint(rec[p:])
+	if n <= 0 {
+		return dst, spillCorrupt("truncated record length")
 	}
-	n64, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, &errSpillCorrupt{detail: "truncated record length"}
+	if nlits > maxSpillLits {
+		return dst, spillCorrupt("implausible clause length %d", nlits)
 	}
-	if n64 > maxSpillLits {
-		return nil, &errSpillCorrupt{detail: fmt.Sprintf("implausible clause length %d", n64)}
-	}
-	dst = dst[:0]
-	for i := uint64(0); i < n64; i++ {
-		v, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, &errSpillCorrupt{detail: "truncated record literals"}
+	p += n
+	base := len(dst)
+	for i := uint64(0); i < nlits; i++ {
+		v, n := uvarint(rec[p:])
+		if n <= 0 {
+			return dst[:base], spillCorrupt("truncated record literals")
 		}
-		if v > uint64(^uint32(0)) {
-			return nil, &errSpillCorrupt{detail: fmt.Sprintf("literal %d out of range", v)}
+		if v > math.MaxUint32 {
+			return dst[:base], spillCorrupt("literal %d out of range", v)
 		}
 		dst = append(dst, int32(uint32(v)))
+		p += n
 	}
-	want := cr.crc
-	var sum [4]byte
-	if _, err := io.ReadFull(cr.r, sum[:]); err != nil {
-		return nil, &errSpillCorrupt{detail: "truncated record checksum"}
+	if len(rec)-p < 4 {
+		return dst[:base], spillCorrupt("truncated record checksum")
 	}
-	if binary.LittleEndian.Uint32(sum[:]) != want {
-		return nil, &errSpillCorrupt{detail: fmt.Sprintf("checksum mismatch for clause %d", wantID)}
+	if binary.LittleEndian.Uint32(rec[p:]) != crc32.ChecksumIEEE(rec[:p]) {
+		return dst[:base], spillCorrupt("checksum mismatch for clause %d", wantID)
 	}
 	return dst, nil
+}
+
+// uvarint decodes the uvarint at the start of b, as binary.Uvarint does,
+// but reports n <= 0 for one padded with zero high bytes: appendRecord
+// never writes those.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
 }

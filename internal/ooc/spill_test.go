@@ -1,9 +1,11 @@
 package ooc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -103,4 +105,40 @@ func TestSpillCorruptionEveryByte(t *testing.T) {
 	for _, n := range cuts {
 		run(fmt.Sprintf("truncate at %d", n), func(b []byte) []byte { return b[:n] })
 	}
+}
+
+// FuzzSpillRecord feeds the record decoder arbitrary segment bytes, an
+// offset and an expected ID. It must never panic, so never read outside
+// the segment, and a clause it returns must encode, as put writes it, to
+// exactly the bytes at that offset, checksum included.
+func FuzzSpillRecord(f *testing.F) {
+	seg := appendRecord([]byte(spillMagic), 7, []int32{2, 5, 131})
+	second := int64(len(seg))
+	seg = appendRecord(seg, 300, nil)
+	f.Add(seg, int64(len(spillMagic)), int32(7))
+	f.Add(seg, second, int32(300))
+	f.Add(seg, second, int32(7))
+	f.Add(seg[:len(seg)-2], second, int32(300))
+	f.Add(appendRecord([]byte(spillMagic), -1, []int32{-1, 0}), int64(len(spillMagic)), int32(-1))
+	// Clause 7 with its ID padded to two bytes and a checksum over those
+	// bytes: only the canonical-encoding check tells it from put's record.
+	padded := []byte{0x87, 0x00, 0x00}
+	padded = binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded))
+	f.Add(append([]byte(spillMagic), padded...), int64(len(spillMagic)), int32(7))
+	f.Add([]byte(spillMagic+"\x07\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), int64(len(spillMagic)), int32(7))
+	f.Fuzz(func(t *testing.T, seg []byte, off int64, id int32) {
+		seg = seg[:len(seg):len(seg)]
+		lits, err := decodeRecord(seg, off, id, nil)
+		if err != nil {
+			var ec *errSpillCorrupt
+			if !errors.As(err, &ec) || len(lits) != 0 {
+				t.Fatalf("got %v and %v, want a spill corruption and no literals", lits, err)
+			}
+			return
+		}
+		rec := appendRecord(nil, id, lits)
+		if end := off + int64(len(rec)); end > int64(len(seg)) || !bytes.Equal(seg[off:end], rec) {
+			t.Fatalf("decoded clause %d %v from %x at %d, which encodes as %x", id, lits, seg, off, rec)
+		}
+	})
 }
