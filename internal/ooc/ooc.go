@@ -393,6 +393,10 @@ func metaWords(n int64) int64 {
 // fails budgetPlan's resident-state check once the pass ends.
 func (r *run) admitIDs() int64 {
 	avail := r.budgetWords - int64(len(r.fLits)+len(r.fOff)) - 8*(int64(r.fMaxVar)+2)
+	const widest = math.MaxInt32 + 1 // IDs are 31-bit
+	if metaWords(widest) <= avail {
+		return widest
+	}
 	n := max(avail*32/105+1, 0) // metaWords(n) >= 105n/32 > avail
 	for n > 0 && metaWords(n) > avail {
 		n--
@@ -490,14 +494,13 @@ func (r *run) checkWindows() (*checker.Result, error) {
 
 // cutWindow parses the window that starts at byte off into r.buf and
 // returns it with the offset of the line after it. A window takes lines
-// until the next would carry its parse words past capWords, and always
-// takes at least one.
+// until the next would carry its parse words (opWords) past capWords, and
+// always takes at least one.
 func (r *run) cutWindow(off int64) (window, int64, error) {
 	b := &r.buf
 	resetOps(b)
 	s := kernelcheck.NewScanner(r.data, off)
 	w := window{start: off}
-	var words int64
 	for {
 		next := s.Offset()
 		nLits, nHints, nDels := len(b.Lits), len(b.Hints), len(b.Dels)
@@ -508,8 +511,7 @@ func (r *run) cutWindow(off int64) (window, int64, error) {
 		if err != nil {
 			return w, next, fmt.Errorf("ooc: internal: window %d re-parse diverged: %w", len(r.windows), err)
 		}
-		opW := int64(len(b.Lits)-nLits+len(b.Hints)-nHints+len(b.Dels)-nDels) + opOverheadWords
-		if w.ops > 0 && words+opW > r.capWords {
+		if w.ops > 0 && opWords(b) > r.capWords {
 			// The line opens the next window: give it back.
 			b.Ops, b.Lits, b.Hints, b.Dels = b.Ops[:w.ops], b.Lits[:nLits], b.Hints[:nHints], b.Dels[:nDels]
 			return w, next, nil
@@ -521,7 +523,6 @@ func (r *run) cutWindow(off int64) (window, int64, error) {
 			w.lastAdd = op.ID
 		}
 		w.ops++
-		words += opW
 	}
 }
 
@@ -566,7 +567,8 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 
 	// Collect the window's referenced IDs (hints, RAT candidates, deletion
 	// targets) and its own additions.
-	r.refs = r.refs[:0]
+	b := &r.buf
+	r.refs = slices.Grow(r.refs[:0], len(b.Hints)+len(b.Dels))
 	r.curWinAdds = r.curWinAdds[:0]
 	r.curPoison = r.curPoison[:0]
 	for i := 0; i < stop; i++ {
@@ -596,7 +598,7 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	// each is noted as -1-k for the k-th addition until curLocal is known.
 	r.curImports = r.curImports[:0]
 	r.curTombs = r.curTombs[:0]
-	r.refLocal = r.refLocal[:0]
+	r.refLocal = slices.Grow(r.refLocal[:0], len(r.refs))
 	adds := r.curWinAdds
 	k := 0
 	for _, ref := range r.refs {
@@ -666,10 +668,10 @@ func (r *run) checkWindow(wi int, lastID *int32) (*checker.Result, bool, error) 
 	// hit "not live"/"unknown clause" exactly as in memory), then the
 	// window's lines with IDs and references renumbered into local space.
 	kp := &r.kp
-	kp.Ops = kp.Ops[:0]
-	kp.Lits = kp.Lits[:0]
-	kp.Hints = kp.Hints[:0]
-	kp.Dels = kp.Dels[:0]
+	kp.Ops = slices.Grow(kp.Ops[:0], len(b.Ops)+1)
+	kp.Lits = slices.Grow(kp.Lits[:0], len(b.Lits))
+	kp.Hints = slices.Grow(kp.Hints[:0], len(b.Hints))
+	kp.Dels = slices.Grow(kp.Dels[:0], len(b.Dels)+int(r.curNTomb))
 	kp.NumAdds = 0
 	kp.MaxVar = r.numVars
 	r.curDelLines = r.curDelLines[:0]
@@ -918,8 +920,9 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		if err := r.poll(); err != nil {
 			return nil, 0, err
 		}
-		// IDs increase in an accepted proof, so the window's additions are
-		// exactly the marks between its first and last addition IDs.
+		// IDs increase in an accepted proof, so no other window adds an ID
+		// between this one's first and last additions: no mark there, no
+		// marked addition to expand.
 		if win := r.windows[w]; win.lastAdd == 0 || !anyMarked(marked, win.firstAdd, win.lastAdd) {
 			continue
 		}

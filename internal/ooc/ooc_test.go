@@ -3,6 +3,7 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -199,6 +200,16 @@ func TestDegenerateWindows(t *testing.T) {
 		}
 		if oRes.OOCWindows < 3 {
 			t.Fatalf("expected many windows, got %d", oRes.OOCWindows)
+		}
+	})
+	t.Run("widest-budget", func(t *testing.T) {
+		// The widest budget still admits the ID space: a proof that never
+		// derives the empty clause retires its one window, reading the
+		// last references of clauses 4 and 5.
+		_, _, kErr, oErr := runBoth(t, f, "4 2 0 1 2 0\n5 -2 0 1 3 0\n", math.MaxInt64)
+		wantSameVerdict(t, kErr, oErr)
+		if oErr == nil {
+			t.Fatal("proof without the empty clause accepted")
 		}
 	})
 	t.Run("empty-proof", func(t *testing.T) {
