@@ -74,7 +74,7 @@ const (
 )
 
 // window is one contiguous run of proof lines, cut by the window pass. The
-// core pass re-parses it from the mapped proof bytes when one of its
+// core pass cuts it again from the mapped proof bytes when one of its
 // additions is marked.
 type window struct {
 	start             int64 // byte offset of the first line
@@ -495,7 +495,8 @@ func (r *run) checkWindows() (*checker.Result, error) {
 // cutWindow parses the window that starts at byte off into r.buf and
 // returns it with the offset of the line after it. A window takes lines
 // until the next would carry its parse words (opWords) past capWords, and
-// always takes at least one.
+// always takes at least one, so cutting at a window's start again parses
+// the same window.
 func (r *run) cutWindow(off int64) (window, int64, error) {
 	b := &r.buf
 	resetOps(b)
@@ -509,7 +510,7 @@ func (r *run) cutWindow(off int64) (window, int64, error) {
 			return w, next, nil
 		}
 		if err != nil {
-			return w, next, fmt.Errorf("ooc: internal: window %d re-parse diverged: %w", len(r.windows), err)
+			return w, next, fmt.Errorf("ooc: internal: re-parse at byte %d diverged: %w", next, err)
 		}
 		if w.ops > 0 && opWords(b) > r.capWords {
 			// The line opens the next window: give it back.
@@ -524,19 +525,6 @@ func (r *run) cutWindow(off int64) (window, int64, error) {
 		}
 		w.ops++
 	}
-}
-
-// reparse re-reads window wi's lines from the mapped proof into r.buf.
-func (r *run) reparse(wi int) error {
-	w := r.windows[wi]
-	resetOps(&r.buf)
-	s := kernelcheck.NewScanner(r.data, w.start)
-	for i := 0; i < w.ops; i++ {
-		if err := s.ScanOp(&r.buf); err != nil {
-			return fmt.Errorf("ooc: internal: window %d re-parse diverged: %w", wi, err)
-		}
-	}
-	return nil
 }
 
 // checkWindow checks window wi, which r.buf holds.
@@ -926,7 +914,7 @@ func (r *run) markCore(finalWin, finalIdx int) ([]int, int, error) {
 		if win := r.windows[w]; win.lastAdd == 0 || !anyMarked(marked, win.firstAdd, win.lastAdd) {
 			continue
 		}
-		if err := r.reparse(w); err != nil {
+		if _, _, err := r.cutWindow(r.windows[w].start); err != nil {
 			return nil, 0, err
 		}
 		walk(len(r.buf.Ops) - 1)
