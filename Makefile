@@ -190,6 +190,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTraceParse -fuzztime 30s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzTraceCheck -fuzztime 30s ./internal/tracecheck/
 	$(GO) test -run xxx -fuzz FuzzDerive -fuzztime 30s ./internal/tracecheck/
+	$(GO) test -run xxx -fuzz FuzzChain -fuzztime 30s ./internal/resolve/
 	$(GO) test -run xxx -fuzz FuzzDRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATParse -fuzztime 30s ./internal/drat/
 	$(GO) test -run xxx -fuzz FuzzLRATScan -fuzztime 30s ./internal/kernelcheck/

@@ -28,6 +28,7 @@ func BreadthFirst(f *cnf.Formula, src trace.Source, opts Options) (*Result, erro
 	b := &bfChecker{
 		originals: normalizeOriginals(f),
 		nOrig:     len(f.Clauses),
+		numVars:   f.NumVars,
 		res:       &Result{},
 	}
 	b.mem.limit = opts.MemLimitWords
@@ -52,11 +53,13 @@ func BreadthFirst(f *cnf.Formula, src trace.Source, opts Options) (*Result, erro
 type bfChecker struct {
 	originals []cnf.Clause
 	nOrig     int
+	numVars   int
 	live      map[int]*liveClause
 	l0        *level0Table
+	r         *resolve.Resolver
+	chain     []cnf.Clause // the clause being built's sources (buildChain)
 	mem       memModel
 	intr      poller
-	scratch   [2]cnf.Clause // ping-pong resolution buffers (resolve.ResolventInto)
 	res       *Result
 }
 
@@ -299,7 +302,8 @@ func (b *bfChecker) scan(src trace.Source, fn func(trace.Event) error) error {
 // empty-clause derivation.
 func (b *bfChecker) buildPass(src trace.Source, counts useCounts) error {
 	b.live = make(map[int]*liveClause)
-	b.l0 = newLevel0Table()
+	b.l0 = newLevel0Table(b.numVars)
+	b.r = newResolver(b.originals)
 	b.res.LearnedTotal = counts.total()
 	finalID := trace.NoClause
 
@@ -349,26 +353,10 @@ func (b *bfChecker) buildLearned(id int, sources []int, counts useCounts) error 
 		return &CheckError{Kind: FailTrace, ClauseID: id, Step: -1,
 			Detail: "counts stream out of sync", Err: err}
 	}
-	cur, err := b.getClause(sources[0])
+	cur, err := buildChain(b.r, &b.chain, id, sources, b.getClause)
 	if err != nil {
 		b.releaseSources(sources)
-		return &CheckError{Kind: FailBadSourceRef, ClauseID: id, Step: 0, Err: err}
-	}
-	for i, s := range sources[1:] {
-		next, err := b.getClause(s)
-		if err != nil {
-			b.releaseSources(sources)
-			return &CheckError{Kind: FailBadSourceRef, ClauseID: id, Step: i + 1, Err: err}
-		}
-		resv, _, rerr := resolve.ResolventInto(b.scratch[i%2], cur, next)
-		if rerr != nil {
-			b.releaseSources(sources)
-			return &CheckError{Kind: FailResolution, ClauseID: id, Step: i + 1,
-				Detail: fmt.Sprintf("resolving with source %d", s), Err: rerr}
-		}
-		b.scratch[i%2] = resv
-		cur = resv
-		b.res.ResolutionSteps++
+		return err
 	}
 	// Consume the sources only after the whole chain validated; a chain
 	// that failed mid-way released them above so the use counts stay
@@ -376,10 +364,11 @@ func (b *bfChecker) buildLearned(id int, sources []int, counts useCounts) error 
 	for _, s := range sources {
 		b.consume(s)
 	}
+	b.res.ResolutionSteps += int64(len(sources) - 1)
 	b.res.ClausesBuilt++
 	if myCount > 0 {
-		// Copy out of the scratch buffers (or the aliased single source):
-		// only clauses with a future use pay for owned storage.
+		// Copy out of the resolver's storage: only clauses with a future
+		// use pay for owned storage.
 		b.live[id] = &liveClause{lits: cur.Clone(), remaining: myCount}
 		return b.mem.add(int64(len(cur)))
 	}

@@ -247,6 +247,54 @@ func (r *Result) BuiltFraction() float64 {
 	return float64(r.ClausesBuilt) / float64(r.LearnedTotal)
 }
 
+// buildChain is the build step of the streaming checkers (breadth-first,
+// hybrid and parallel): it fetches the clauses of learned clause id's
+// resolve sources into *chain, then resolves them with r in one call. The
+// first failure is the one the paper's interleaved cl = resolve(cl, src_i)
+// loop meets: if getClause refuses the source at step j, the chain before
+// it is resolved, and a resolution failure there is reported ahead of the
+// bad source reference at j. The resolvent lives in r's storage until its
+// next call.
+func buildChain[S int | int32](r *resolve.Resolver, chain *[]cnf.Clause, id int, sources []S,
+	getClause func(id int) (cnf.Clause, error),
+) (cnf.Clause, error) {
+	c := (*chain)[:0]
+	var refused error
+	for _, s := range sources {
+		cl, err := getClause(int(s))
+		if err != nil {
+			refused = err
+			break
+		}
+		c = append(c, cl)
+	}
+	*chain = c
+	if len(c) > 0 {
+		lits, step, err := r.Chain(c)
+		if err != nil {
+			return nil, &CheckError{Kind: FailResolution, ClauseID: id, Step: step,
+				Detail: fmt.Sprintf("resolving with source %d", sources[step]), Err: err}
+		}
+		if refused == nil {
+			return lits, nil
+		}
+	}
+	return nil, &CheckError{Kind: FailBadSourceRef, ClauseID: id, Step: len(c), Err: refused}
+}
+
+// newResolver sizes a chain resolver for the normalized originals: every
+// learned clause's literals come from them, and the last literal of a
+// sorted clause holds its widest variable.
+func newResolver(originals []cnf.Clause) *resolve.Resolver {
+	maxVar := 0
+	for _, c := range originals {
+		if n := len(c); n > 0 {
+			maxVar = max(maxVar, int(c[n-1].Var()))
+		}
+	}
+	return resolve.NewResolver(maxVar)
+}
+
 // memModel is the deterministic memory accounting shared by the checkers.
 type memModel struct {
 	cur, peak int64
@@ -276,21 +324,23 @@ type level0Rec struct {
 }
 
 // level0Table indexes the trace's level-0 assignments by variable.
-// Variables are dense small integers, so a flat slice grown on demand beats
-// a map here: lookups in the final stage's inner loops become a bounds check
-// and the per-check table costs one allocation instead of map buckets.
+// Variables are dense small integers, so a flat slice beats a map here:
+// lookups in the final stage's inner loops become a bounds check and the
+// per-check table costs one allocation instead of map buckets.
 type level0Table struct {
 	recs []level0Rec // indexed by variable; set == false means unassigned
 	n    int         // number of recorded assignments
 }
 
-func newLevel0Table() *level0Table {
-	return &level0Table{}
+// newLevel0Table presizes the table for variables 1..numVars, the
+// formula's; a record naming a larger variable grows it geometrically.
+func newLevel0Table(numVars int) *level0Table {
+	return &level0Table{recs: make([]level0Rec, numVars+1)}
 }
 
 func (t *level0Table) add(v cnf.Var, value bool, ante int) error {
 	if int(v) >= len(t.recs) {
-		grown := make([]level0Rec, int(v)+1)
+		grown := make([]level0Rec, max(int(v)+1, 2*len(t.recs)))
 		copy(grown, t.recs)
 		t.recs = grown
 	}
@@ -346,8 +396,8 @@ func finalStage(cl cnf.Clause, confID int, l0 *level0Table,
 	}
 
 	// Ping-pong scratch for the level-0 resolution chain, same discipline as
-	// the build loops: dst never aliases cl (the other buffer or the caller's
-	// clause) nor ante (stored clause storage).
+	// the depth-first build loop: dst never aliases cl (the other buffer or
+	// the caller's clause) nor ante (stored clause storage).
 	var buf [2]cnf.Clause
 	step := 0
 	for len(cl) > 0 {

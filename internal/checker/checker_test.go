@@ -361,7 +361,7 @@ func TestFailureKindStrings(t *testing.T) {
 }
 
 func TestLevel0TableDuplicate(t *testing.T) {
-	l0 := newLevel0Table()
+	l0 := newLevel0Table(0)
 	if err := l0.add(3, true, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +370,39 @@ func TestLevel0TableDuplicate(t *testing.T) {
 	}
 }
 
+// TestLevel0TableGrowth pins the level-0 table's sizing: presized to the
+// formula's variables, recording every one of them allocates nothing more,
+// and past that the table grows geometrically, once per doubling
+// (log2(10,000) is about 14), not once per new variable.
+func TestLevel0TableGrowth(t *testing.T) {
+	const n = 10000
+	var l0 *level0Table
+	fill := func(numVars int) func() {
+		return func() {
+			l0 = newLevel0Table(numVars)
+			for v := 1; v <= n; v++ {
+				if err := l0.add(cnf.Var(v), v%2 == 0, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(3, fill(n)); a > 2 {
+		t.Errorf("presized table: %.0f allocations for %d records, want at most 2", a, n)
+	}
+	if a := testing.AllocsPerRun(3, fill(0)); a > 17 {
+		t.Errorf("growing table: %.0f allocations for %d records, want at most 17", a, n)
+	}
+	if rec, ok := l0.get(n); !ok || !rec.value || rec.ante != n || rec.pos != n-1 {
+		t.Errorf("variable %d after growth: %+v, %v", n, rec, ok)
+	}
+	if err := l0.add(n, true, 0); err == nil {
+		t.Error("duplicate level-0 variable accepted after growth")
+	}
+}
+
 func TestValidateAntecedentRejections(t *testing.T) {
-	l0 := newLevel0Table()
+	l0 := newLevel0Table(0)
 	// pos 0: var 1 true with ante 0; pos 1: var 2 false; pos 2: var 3 true.
 	if err := l0.add(1, true, 0); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func depthFirstData(f *cnf.Formula, data *trace.Data, opts Options) (*Result, er
 		return nil, err
 	}
 
-	l0 := newLevel0Table()
+	l0 := newLevel0Table(f.NumVars)
 	for _, rec := range data.Level0 {
 		if err := l0.add(rec.Var, rec.Value, rec.Ante); err != nil {
 			return nil, err

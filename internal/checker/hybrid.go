@@ -3,13 +3,14 @@ package checker
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"os"
 
 	"satcheck/internal/cnf"
-	"satcheck/internal/resolve"
+	"satcheck/internal/mmapio"
 	"satcheck/internal/trace"
 )
 
@@ -19,13 +20,14 @@ import (
 // shortcomings ... a depth-first algorithm for the graph on disk".
 //
 // Phase 1 streams the trace once, spilling each learned clause's resolve
-// sources to a temporary file with a fixed-width offset index. Phase 2 walks
-// learned-clause IDs backward (sources always precede the clauses they
-// derive) marking exactly the clauses reachable from the empty-clause
-// derivation roots — the final conflicting clause and the level-0
-// antecedents — and counting uses among marked clauses. Phase 3 is a
-// breadth-first build pass restricted to marked clauses with use-count
-// eviction.
+// sources to a temporary file with a fixed-width offset index, both mapped
+// read-only once written. Phase 2 walks learned-clause IDs backward
+// (sources always precede the clauses they derive) marking exactly the
+// clauses reachable from the empty-clause derivation roots — the final
+// conflicting clause and the level-0 antecedents — and counting uses among
+// marked clauses, decoding each marked clause's record from the mapping.
+// Phase 3 is a breadth-first build pass restricted to marked clauses with
+// use-count eviction, each clause resolved in one resolve.Resolver call.
 //
 // In memory it keeps one *bit* per learned clause plus counters for the
 // marked subset only, and it materializes literals only for marked clauses:
@@ -40,6 +42,7 @@ func Hybrid(f *cnf.Formula, src trace.Source, opts Options) (*Result, error) {
 	h := &hybridChecker{
 		originals: normalizeOriginals(f),
 		nOrig:     len(f.Clauses),
+		numVars:   f.NumVars,
 		res:       &Result{},
 	}
 	h.mem.limit = opts.MemLimitWords
@@ -68,6 +71,7 @@ func Hybrid(f *cnf.Formula, src trace.Source, opts Options) (*Result, error) {
 type hybridChecker struct {
 	originals []cnf.Clause
 	nOrig     int
+	numVars   int
 	numL      int
 	finalID   int
 	level0    []trace.Level0Record
@@ -77,10 +81,9 @@ type hybridChecker struct {
 	live     map[int]*liveClause
 	usedOrig []uint64 // bitmap over original clauses touched by the proof
 
-	mem     memModel
-	intr    poller
-	scratch [2]cnf.Clause // ping-pong resolution buffers (resolve.ResolventInto)
-	res     *Result
+	mem  memModel
+	intr poller
+	res  *Result
 }
 
 func (h *hybridChecker) isMarked(id int) bool {
@@ -89,11 +92,28 @@ func (h *hybridChecker) isMarked(id int) bool {
 }
 
 // sourcesSpill is the on-disk representation of the learned-clause source
-// lists: a data file of varint-encoded records and a fixed 8-byte-per-clause
-// offset index, both unlinked on creation.
+// lists: a data file of varint records (a count, then the sources) and a
+// fixed 8-byte-per-clause offset index. Both files are unlinked on creation
+// and mapped read-only once written, so the backward sweep decodes each
+// record from the mapping with no read call, buffer or slice of its own.
 type sourcesSpill struct {
-	data  *os.File
-	index *os.File
+	data, index *mmapio.Data
+	srcs        []int // the sources decoded last, reused by every record
+}
+
+// mapSpill maps the written spill files read-only. The mappings outlive
+// the files' handles; where mmap is unavailable, mmapio reads the files.
+func mapSpill(data, index *os.File) (*sourcesSpill, error) {
+	d, err := mmapio.FromFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("checker: mapping hybrid spill: %w", err)
+	}
+	x, err := mmapio.FromFile(index)
+	if err != nil {
+		d.Close()
+		return nil, fmt.Errorf("checker: mapping hybrid spill index: %w", err)
+	}
+	return &sourcesSpill{data: d, index: x}, nil
 }
 
 func (s *sourcesSpill) close() {
@@ -104,27 +124,50 @@ func (s *sourcesSpill) close() {
 	s.index.Close()
 }
 
-// read returns the resolve sources of learned clause number i (0-based).
-func (s *sourcesSpill) read(i int) ([]int, error) {
-	var off [8]byte
-	if _, err := s.index.ReadAt(off[:], int64(i)*8); err != nil {
-		return nil, fmt.Errorf("checker: hybrid index read: %w", err)
+// sources decodes the resolve sources of learned clause number i (0-based)
+// into s.srcs, valid until the next call. Bytes that fall short fail the
+// read instead of the process: an index without clause i, an offset past
+// the data, a truncated or overlong varint, or a count larger than the
+// bytes left (every source takes at least one byte).
+func (s *sourcesSpill) sources(i int) ([]int, error) {
+	index, data := s.index.Bytes(), s.data.Bytes()
+	if i >= len(index)/8 {
+		return nil, fmt.Errorf("checker: hybrid spill index holds %d clauses, not clause %d", len(index)/8, i)
 	}
-	sec := io.NewSectionReader(s.data, int64(binary.LittleEndian.Uint64(off[:])), 1<<62)
-	br := bufio.NewReaderSize(sec, 512)
-	n, err := binary.ReadUvarint(br)
+	off := binary.LittleEndian.Uint64(index[8*i:])
+	if off >= uint64(len(data)) {
+		return nil, fmt.Errorf("checker: hybrid spill offset %d past the data's %d bytes", off, len(data))
+	}
+	n, rec, err := uvarint(data[off:])
 	if err != nil {
-		return nil, fmt.Errorf("checker: hybrid spill read: %w", err)
+		return nil, err
 	}
-	srcs := make([]int, n)
-	for j := range srcs {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("checker: hybrid spill read: %w", err)
+	if n > uint64(len(rec)) {
+		return nil, fmt.Errorf("checker: hybrid spill record of %d sources in %d bytes", n, len(rec))
+	}
+	srcs := s.srcs[:0]
+	for range n {
+		var v uint64
+		if v, rec, err = uvarint(rec); err != nil {
+			return nil, err
 		}
-		srcs[j] = int(v)
+		srcs = append(srcs, int(v))
 	}
+	s.srcs = srcs
 	return srcs, nil
+}
+
+// uvarint decodes the varint at the start of b and returns the bytes after
+// it.
+func uvarint(b []byte) (uint64, []byte, error) {
+	v, k := binary.Uvarint(b)
+	switch {
+	case k == 0:
+		return 0, nil, errors.New("checker: hybrid spill read: truncated varint")
+	case k < 0:
+		return 0, nil, errors.New("checker: hybrid spill read: overlong varint")
+	}
+	return v, b[k:], nil
 }
 
 // structuralScan is the checkers' shared phase-1 trace walk: one forward
@@ -186,18 +229,21 @@ func (h *hybridChecker) spillSources(src trace.Source, opts Options) (*sourcesSp
 	if err != nil {
 		return nil, fmt.Errorf("checker: creating spill file: %w", err)
 	}
+	defer data.Close()
 	os.Remove(data.Name())
 	index, err := os.CreateTemp(opts.TempDir, "satcheck-hybrid-index-*")
 	if err != nil {
-		data.Close()
 		return nil, fmt.Errorf("checker: creating spill index: %w", err)
 	}
+	defer index.Close()
 	os.Remove(index.Name())
-	spill := &sourcesSpill{data: data, index: index}
 
 	dw := bufio.NewWriterSize(data, 1<<16)
 	iw := bufio.NewWriterSize(index, 1<<16)
 	offset := int64(0)
+	// Buffers for the whole pass: one declared per record would escape
+	// through the writers and cost an allocation per record.
+	var off [8]byte
 	var vbuf [binary.MaxVarintLen64]byte
 	writeUvarint := func(w *bufio.Writer, v uint64) error {
 		k := binary.PutUvarint(vbuf[:], v)
@@ -208,7 +254,6 @@ func (h *hybridChecker) spillSources(src trace.Source, opts Options) (*sourcesSp
 
 	h.numL, h.finalID, h.level0, err = structuralScan(src, h.nOrig, &h.intr, &h.mem,
 		func(ev trace.Event) error {
-			var off [8]byte
 			binary.LittleEndian.PutUint64(off[:], uint64(offset))
 			if _, err := iw.Write(off[:]); err != nil {
 				return err
@@ -224,18 +269,15 @@ func (h *hybridChecker) spillSources(src trace.Source, opts Options) (*sourcesSp
 			return nil
 		})
 	if err != nil {
-		spill.close()
 		return nil, err
 	}
 	if err := dw.Flush(); err != nil {
-		spill.close()
 		return nil, err
 	}
 	if err := iw.Flush(); err != nil {
-		spill.close()
 		return nil, err
 	}
-	return spill, nil
+	return mapSpill(data, index)
 }
 
 // markReachable is the hybrid checker's phase-2 backward sweep, shared with
@@ -313,7 +355,7 @@ func markReachable(nOrig, numL, finalID int, level0 []trace.Level0Record,
 func (h *hybridChecker) markPhase(spill *sourcesSpill) error {
 	var err error
 	h.marked, h.counts, _, h.usedOrig, err = markReachable(
-		h.nOrig, h.numL, h.finalID, h.level0, spill.read, &h.mem, &h.intr)
+		h.nOrig, h.numL, h.finalID, h.level0, spill.sources, &h.mem, &h.intr)
 	return err
 }
 
@@ -321,7 +363,7 @@ func (h *hybridChecker) markPhase(spill *sourcesSpill) error {
 // clauses, followed by the final empty-clause derivation.
 func (h *hybridChecker) buildPass(src trace.Source) error {
 	h.live = make(map[int]*liveClause)
-	l0 := newLevel0Table()
+	l0 := newLevel0Table(h.numVars)
 	for _, rec := range h.level0 {
 		if err := l0.add(rec.Var, rec.Value, rec.Ante); err != nil {
 			return err
@@ -329,6 +371,8 @@ func (h *hybridChecker) buildPass(src trace.Source) error {
 	}
 	h.res.LearnedTotal = h.numL
 
+	r := newResolver(h.originals)
+	var chain []cnf.Clause
 	err := h.scan(src, func(ev trace.Event) error {
 		if ev.Kind != trace.KindLearned || !h.isMarked(ev.ID) {
 			return nil
@@ -338,33 +382,18 @@ func (h *hybridChecker) buildPass(src trace.Source) error {
 		// them, and leaving them live would leak clauses past the eviction
 		// accounting (and, in the parallel checker built on the same
 		// discipline, keep real memory alive for the rest of the run).
-		cur, err := h.getClause(ev.Sources[0])
+		cur, err := buildChain(r, &chain, ev.ID, ev.Sources, h.getClause)
 		if err != nil {
 			h.releaseSources(ev.Sources)
-			return &CheckError{Kind: FailBadSourceRef, ClauseID: ev.ID, Step: 0, Err: err}
-		}
-		for i, s := range ev.Sources[1:] {
-			next, err := h.getClause(s)
-			if err != nil {
-				h.releaseSources(ev.Sources)
-				return &CheckError{Kind: FailBadSourceRef, ClauseID: ev.ID, Step: i + 1, Err: err}
-			}
-			resv, _, rerr := resolve.ResolventInto(h.scratch[i%2], cur, next)
-			if rerr != nil {
-				h.releaseSources(ev.Sources)
-				return &CheckError{Kind: FailResolution, ClauseID: ev.ID, Step: i + 1,
-					Detail: fmt.Sprintf("resolving with source %d", s), Err: rerr}
-			}
-			h.scratch[i%2] = resv
-			cur = resv
-			h.res.ResolutionSteps++
+			return err
 		}
 		for _, s := range ev.Sources {
 			h.consume(s)
 		}
+		h.res.ResolutionSteps += int64(len(ev.Sources) - 1)
 		h.res.ClausesBuilt++
-		// Copy out of the scratch buffers (or the aliased single source):
-		// the stored clause must own its storage.
+		// Copy out of the resolver's storage: the stored clause must own
+		// its literals.
 		h.live[ev.ID] = &liveClause{lits: cur.Clone(), remaining: h.counts[ev.ID-h.nOrig]}
 		return h.mem.add(int64(len(cur)))
 	})

@@ -34,9 +34,9 @@ import (
 // their sources, evicting each clause from the deterministic 4-bytes/literal
 // memory model the moment its last use completes (breadth-first's
 // discipline), with the concurrent high-water mark maintained by
-// compare-and-swap. Workers resolve through caller-owned ping-pong scratch
-// buffers (resolve.ResolventInto) and copy finished clauses into per-worker
-// bump-allocated arenas, so the hot path performs no per-step allocation and
+// compare-and-swap. Each worker resolves a clause's whole chain in one call
+// of its own resolve.Resolver and copies finished clauses into a per-worker
+// bump-allocated arena, so the hot path performs no per-step allocation and
 // built clauses never become individual GC objects.
 //
 // Failure diagnostics are byte-identical to Hybrid's. A failed chain does
@@ -117,7 +117,7 @@ func Parallel(f *cnf.Formula, src trace.Source, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	l0 := newLevel0Table()
+	l0 := newLevel0Table(f.NumVars)
 	for _, rec := range p.level0 {
 		if err := l0.add(rec.Var, rec.Value, rec.Ante); err != nil {
 			return nil, err
@@ -172,7 +172,7 @@ func Parallel(f *cnf.Formula, src trace.Source, opts Options) (*Result, error) {
 		p.minFailID.Store(math.MaxInt64)
 		ws := make([]*parWorker, workers)
 		for i := range ws {
-			ws[i] = &parWorker{p: p}
+			ws[i] = &parWorker{p: p, r: newResolver(p.originals)}
 			ws[i].intr.fn = opts.Interrupt
 		}
 		// Seed the initial ready set round-robin across the workers' local
@@ -398,12 +398,13 @@ func (p *parChecker) abort(err error) {
 
 // parWorker is one build goroutine: a local LIFO of ready clauses (depth-
 // first locality: a clause's first-woken dependent usually resolves against
-// it immediately), ping-pong resolution scratch, and a literal arena for
-// finished clauses. Statistics stay worker-local until the pool joins.
+// it immediately), a chain resolver, and a literal arena for finished
+// clauses. Statistics stay worker-local until the pool joins.
 type parWorker struct {
 	p          *parChecker
 	local      []int32
-	scratch    [2]cnf.Clause
+	r          *resolve.Resolver
+	chain      []cnf.Clause // the clause being built's sources (buildChain)
 	arena      litArena
 	intr       poller
 	steps      int64
@@ -456,14 +457,9 @@ func (w *parWorker) process(li int32) bool {
 	id := p.nOrig + int(li)
 	built := false
 	if w.shouldBuild(li, id) {
-		failure, interrupted := w.build(li, id)
-		switch {
-		case interrupted:
-			p.abort(failure)
-			return false
-		case failure != nil:
-			p.recordFailure(id, failure)
-		default:
+		if err := w.build(li, id); err != nil {
+			p.recordFailure(id, err)
+		} else {
 			built = true
 		}
 	}
@@ -511,40 +507,19 @@ func (w *parWorker) shouldBuild(li int32, id int) bool {
 // copies: a source's remaining count includes this clause's uses and is only
 // decremented after the chain settles, so the storage cannot be evicted
 // under the reader.
-func (w *parWorker) build(li int32, id int) (failure error, interrupted bool) {
+func (w *parWorker) build(li int32, id int) error {
 	p := w.p
 	srcs := p.sourcesOf(li)
-	cur, err := p.getClause(int(srcs[0]))
+	cur, err := buildChain(w.r, &w.chain, id, srcs, p.getClause)
 	if err != nil {
-		return &CheckError{Kind: FailBadSourceRef, ClauseID: id, Step: 0, Err: err}, false
+		return err
 	}
-	for i, s := range srcs[1:] {
-		if err := w.intr.poll(); err != nil {
-			return err, true
-		}
-		next, err := p.getClause(int(s))
-		if err != nil {
-			return &CheckError{Kind: FailBadSourceRef, ClauseID: id, Step: i + 1, Err: err}, false
-		}
-		// Sorted-input fast path: every operand is a normalized original or a
-		// stored resolvent, both canonical by construction.
-		resv, _, rerr := resolve.ResolventIntoSorted(w.scratch[i%2], cur, next)
-		if rerr != nil {
-			return &CheckError{Kind: FailResolution, ClauseID: id, Step: i + 1,
-				Detail: fmt.Sprintf("resolving with source %d", s), Err: rerr}, false
-		}
-		w.scratch[i%2] = resv
-		cur = resv
-		w.steps++
-	}
+	w.steps += int64(len(srcs) - 1)
 	lits := w.arena.clone(cur)
 	p.lits[li] = lits
 	w.built++
 	w.builtWords += int64(len(lits))
-	if err := p.mem.add(int64(len(lits))); err != nil {
-		return err, false
-	}
-	return nil, false
+	return p.mem.add(int64(len(lits)))
 }
 
 // enqueue places a newly-ready clause. It stays on this worker's local stack

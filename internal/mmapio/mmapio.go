@@ -1,10 +1,10 @@
-// Package mmapio is the zero-copy ingest layer of the out-of-core checker
-// (internal/ooc): it maps proof files read-only into the address space so
-// the window planner and the per-window parser read the same physical pages
-// the page cache already holds, instead of allocating per-line buffers. On
-// platforms (or filesystems) where mmap is unavailable the package falls
-// back to a single ReadAll — same []byte contract, one allocation, so
-// callers never branch on platform.
+// Package mmapio maps files read-only into the address space, so readers
+// decode the same physical pages the page cache already holds instead of
+// allocating per-read buffers: the out-of-core checker's window planner,
+// parser and spill segments (internal/ooc), and the hybrid checker's
+// source spill (internal/checker). On platforms (or filesystems) where
+// mmap is unavailable the package falls back to a single ReadAll — same
+// []byte contract, one allocation, so callers never branch on platform.
 package mmapio
 
 import (

@@ -7,7 +7,7 @@ import (
 	"os"
 
 	"satcheck/internal/drat"
-	"satcheck/internal/ooc/mmapio"
+	"satcheck/internal/mmapio"
 )
 
 // PathSource is implemented by proof sources that are backed by a file on

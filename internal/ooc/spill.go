@@ -9,7 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"satcheck/internal/ooc/mmapio"
+	"satcheck/internal/mmapio"
 )
 
 // The spill index is the disk half of window shifting: a learned clause
@@ -26,7 +26,7 @@ import (
 //
 //	uvarint(id) uvarint(nlits) uvarint(lit)... crc32(le, payload)
 //
-// A sealed segment is mapped read-only (internal/ooc/mmapio) once its
+// A sealed segment is mapped read-only (internal/mmapio) once its
 // length and magic check out, and every record is decoded from the mapped
 // bytes: an import costs no system call and no buffer. The spill
 // directory is private to the check, so nothing truncates a segment under

@@ -3,11 +3,18 @@
 // paper's checker trusts: if every step of a derivation is a valid
 // resolution and the final clause is empty, the original formula is
 // unsatisfiable (the paper's Lemma in §2.2).
+//
+// ResolventInto is the rule itself, a sorted merge of two clauses. Resolver
+// applies it to a whole chain, the paper's cl = resolve(cl, src_i) loop,
+// with literal marks that cost each step only its source's literals, and
+// replays the merge wherever the two could disagree. The streaming checkers
+// (internal/checker) and tracecheck.Derive share that one resolver.
 package resolve
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"satcheck/internal/cnf"
 )
@@ -44,8 +51,7 @@ func Resolvent(a, b cnf.Clause) (cnf.Clause, cnf.Var, error) {
 // the resolvent is appended to dst[:0] (growing it as needed) and returned,
 // so a hot loop that keeps reusing the returned slice as the next call's dst
 // performs no allocation at all once the scratch has warmed up. dst must not
-// alias a or b; the checkers ping-pong two scratch buffers per chain to
-// guarantee that. The returned clause shares dst's storage — callers that
+// alias a or b. The returned clause shares dst's storage — callers that
 // retain it past the next reuse must copy it out first.
 func ResolventInto(dst, a, b cnf.Clause) (cnf.Clause, cnf.Var, error) {
 	if !a.IsSorted() {
@@ -54,18 +60,6 @@ func ResolventInto(dst, a, b cnf.Clause) (cnf.Clause, cnf.Var, error) {
 	if !b.IsSorted() {
 		return nil, cnf.NoVar, fmt.Errorf("%w: %s", ErrNotSorted, b)
 	}
-	return ResolventIntoSorted(dst, a, b)
-}
-
-// ResolventIntoSorted is ResolventInto without the canonical-form
-// re-validation of the inputs — the caller guarantees both clauses are
-// sorted. The checkers' build loops qualify: every input is either a
-// normalized original clause or a previously stored resolvent, and the merge
-// below only ever produces sorted output, so re-checking each operand on
-// every step of a chain is pure overhead (it shows up in profiles as ~10% of
-// check time). Passing an unsorted clause yields an undefined result, not an
-// error; use ResolventInto when the inputs are not already trusted.
-func ResolventIntoSorted(dst, a, b cnf.Clause) (cnf.Clause, cnf.Var, error) {
 	out := dst[:0]
 	pivot := cnf.NoVar
 	i, j := 0, 0
@@ -116,19 +110,116 @@ func ResolventOn(a, b cnf.Clause, v cnf.Var) (cnf.Clause, error) {
 // Chain sequentially resolves start against each clause in sources,
 // returning the final clause. This is exactly the checker's recursive_build
 // inner loop from Figure 3 of the paper: cl = resolve(cl, src_i) with every
-// intermediate step validated. Intermediate resolvents live in two
-// ping-pong buffers; the result is a fresh, exact-size, non-nil clause.
+// intermediate step validated. The result is a fresh, exact-size, non-nil
+// clause.
 func Chain(start cnf.Clause, sources []cnf.Clause) (cnf.Clause, error) {
-	cl := start
 	var buf [2]cnf.Clause
+	cl, step, err := merge(&buf, start, sources)
+	if err != nil {
+		return nil, fmt.Errorf("step %d of %d: %w", step, len(sources), err)
+	}
+	return append(make(cnf.Clause, 0, len(cl)), cl...), nil
+}
+
+// merge is Chain's loop: ResolventInto through the two ping-pong buffers
+// buf, so no step's dst aliases its operands. It returns the last
+// resolvent (start itself when sources is empty), or the 1-based step that
+// failed and its error.
+func merge(buf *[2]cnf.Clause, start cnf.Clause, sources []cnf.Clause) (cnf.Clause, int, error) {
+	cl := start
 	for i, src := range sources {
-		next, _, err := ResolventInto(buf[i%2][:0], cl, src)
+		next, _, err := ResolventInto(buf[i%2], cl, src)
 		if err != nil {
-			return nil, fmt.Errorf("step %d of %d: %w", i+1, len(sources), err)
+			return nil, i + 1, err
 		}
 		buf[i%2], cl = next, next
 	}
-	return append(make(cnf.Clause, 0, len(cl)), cl...), nil
+	return cl, 0, nil
+}
+
+// Resolver resolves chains of clauses as Chain does, with epoch-stamped
+// literal marks instead of a merge per step: a step costs only its
+// source's literals, checked against the marks of the resolvent so far,
+// and the resolvent is sorted once at the end. One Resolver serves any
+// number of chains, one at a time; it is not safe for concurrent use.
+type Resolver struct {
+	mark  []uint32 // mark[l] == epoch while l is in the resolvent
+	epoch uint32
+	cur   cnf.Clause    // the resolvent's literals, with ones since removed
+	buf   [2]cnf.Clause // merge's ping-pong buffers
+}
+
+// NewResolver returns a Resolver whose marks cover the literals of
+// variables 1..maxVar, the widest variable of the clauses it will see.
+func NewResolver(maxVar int) *Resolver {
+	return &Resolver{mark: make([]uint32, 2*maxVar+2)}
+}
+
+// Chain resolves chain[0] against chain[1:] in turn and returns the
+// resolvent, or the 1-based step that failed (the index in chain of the
+// source being resolved) and the error ResolventInto gives for it. chain
+// must hold at least one clause, and none may be a clause r returned. The
+// returned clause lives in r's storage and stays valid until the next call.
+//
+// Marks and the merge agree on canonical clauses without complementary
+// pairs, and can disagree on ones with them: the merge of {x, ¬x} and {x}
+// has no clash, while marks count one. So when a clause is unsorted, has
+// a duplicate or a complementary pair, or has a literal beyond the marks,
+// or when a step does not clash on exactly one variable, Chain replays
+// the merge from step 1 and returns its clause, or its step and error.
+func (r *Resolver) Chain(chain []cnf.Clause) (cnf.Clause, int, error) {
+	lits, ok := r.marks(chain)
+	if r.cur = lits; ok {
+		return lits, 0, nil
+	}
+	return merge(&r.buf, chain[0], chain[1:])
+}
+
+// marks resolves chain in r.cur's storage and returns the sorted
+// resolvent, with ok reporting whether every clause was canonical without
+// complementary pairs and within the marks, and every step clashed on
+// exactly one variable. When not, the slice only carries the storage.
+func (r *Resolver) marks(chain []cnf.Clause) (lits cnf.Clause, ok bool) {
+	if r.epoch++; r.epoch == 0 {
+		clear(r.mark)
+		r.epoch = 1
+	}
+	e, mark := r.epoch, r.mark
+	cur := r.cur[:0]
+	for i, cl := range chain {
+		clashes := 0
+		prev := cnf.NoLit
+		for _, l := range cl {
+			// Sorted order puts x and ¬x side by side, so comparing each
+			// literal with the one before finds duplicates and
+			// complementary pairs as well as disorder.
+			if l <= prev || l == prev.Neg() || int(l) >= len(mark) {
+				return cur, false
+			}
+			prev = l
+			switch {
+			case mark[l.Neg()] == e:
+				mark[l.Neg()] = 0 // the pivot leaves the resolvent
+				clashes++
+			case mark[l] != e:
+				mark[l] = e
+				cur = append(cur, l)
+			}
+		}
+		if i > 0 && clashes != 1 {
+			return cur, false
+		}
+	}
+	// Keep each marked literal once: a pivot can leave and come back.
+	out := cur[:0]
+	for _, l := range cur {
+		if mark[l] == e {
+			mark[l] = 0
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	return out, true
 }
 
 // Implies reports whether every total assignment satisfying all of premises

@@ -16,11 +16,13 @@
 // Unlike the native satcheck trace (§3.1 of the paper), TraceCheck lines
 // carry the *literals* of every derived clause, so the format is larger but
 // self-contained. Derive materializes a native trace's literals by running
-// its chain resolutions, compiles the final level-0 stage into one last
+// its chain resolutions with resolve.Resolver, the chain resolver the
+// native checkers share, compiles the final level-0 stage into one last
 // chain deriving the empty clause, orders each chain as kernel hints, and
 // hands each clause to a visitor as it goes. Replay does the same for a
 // TraceCheck file, whose literals are given. Neither says "valid": that is
-// the kernel's verdict on the hinted clauses (internal/kernelcheck).
+// the kernel's verdict on the hinted clauses (internal/kernelcheck), which
+// re-verifies every clause the resolver builds.
 package tracecheck
 
 import (
@@ -224,16 +226,13 @@ func Replay(f *cnf.Formula, r io.Reader, visit func(Clause) error) error {
 }
 
 // deriver is Derive's state: every clause so far, original and learned, in
-// one literal arena, and the scratch that builds and hints each resolvent.
+// one literal arena, and the resolver and scratch that build and hint each
+// resolvent.
 type deriver struct {
 	lits cnf.Clause // clause id (0-based) is lits[off[id]:off[id+1]], canonical
 	off  []int
-	taut []bool // clause id holds a complementary pair
 
-	mark  []uint32 // mark[l] == epoch while l is in the resolvent being built
-	epoch uint32
-	cur   cnf.Clause // the resolvent's literals, with ones since removed
-
+	r           *resolve.Resolver
 	chain       []cnf.Clause // the current chain's clauses
 	ante, hints []int
 	h           hinter
@@ -241,21 +240,19 @@ type deriver struct {
 
 // newDeriver loads f's clauses, normalized, into a fresh arena.
 func newDeriver(f *cnf.Formula, nLearned int) *deriver {
-	n := len(f.Clauses) + nLearned
-	d := &deriver{off: make([]int, 1, n+1), taut: make([]bool, 0, n)}
+	d := &deriver{off: make([]int, 1, len(f.Clauses)+nLearned+1)}
 	maxVar := f.NumVars
 	for _, c := range f.Clauses {
 		start := len(d.lits)
 		d.lits = append(d.lits, c...)
-		nc, taut := d.lits[start:].Normalize()
+		nc, _ := d.lits[start:].Normalize()
 		d.lits = d.lits[:start+len(nc)]
 		d.off = append(d.off, len(d.lits))
-		d.taut = append(d.taut, taut)
 		for _, l := range nc {
 			maxVar = max(maxVar, int(l.Var()))
 		}
 	}
-	d.mark = make([]uint32, 2*maxVar+2)
+	d.r = resolve.NewResolver(maxVar)
 	d.h.isTrue = make([]bool, 2*maxVar+2)
 	return d
 }
@@ -266,77 +263,22 @@ func (d *deriver) clause(id int) cnf.Clause {
 }
 
 // resolve derives the clause that the chain srcs (0-based IDs) resolves
-// to, appends it to the arena and returns it, leaving the chain's clauses
-// in d.chain. Each step costs O(|source|): the source's literals are
-// checked against the marks of the resolvent so far. Marks and the sorted
-// merge of resolve.Chain agree on canonical clauses without complementary
-// pairs, and disagree on ones with them: the merge of {x, ¬x} and {x} has
-// no clash, while marks count one. So a chain through such a clause, or a
-// step that does not clash on exactly one variable, is left to
-// resolve.Chain, whose clause or error is the answer.
+// to with the shared resolve.Resolver, appends it to the arena and returns
+// it, leaving the chain's clauses in d.chain. Its clause or error is
+// resolve.Chain's: each step costs O(|source|) where the resolver's marks
+// apply, and is the sorted merge where they could disagree.
 func (d *deriver) resolve(srcs []int) (cnf.Clause, error) {
 	d.chain = d.chain[:0]
-	taut := false
 	for _, s := range srcs {
 		d.chain = append(d.chain, d.clause(s))
-		taut = taut || d.taut[s]
 	}
-	var lits cnf.Clause
-	if !taut && d.marks() {
-		lits = d.cur
-	} else {
-		var err error
-		if lits, err = resolve.Chain(d.chain[0], d.chain[1:]); err != nil {
-			return nil, err
-		}
-		_, taut = lits.Normalize() // already canonical: only the flag is new
+	lits, step, err := d.r.Chain(d.chain)
+	if err != nil {
+		return nil, fmt.Errorf("step %d of %d: %w", step, len(srcs)-1, err)
 	}
 	d.lits = append(d.lits, lits...)
 	d.off = append(d.off, len(d.lits))
-	d.taut = append(d.taut, taut)
 	return d.clause(len(d.off) - 2), nil
-}
-
-// marks resolves d.chain into d.cur, sorted, and reports whether every
-// step clashed on exactly one variable; d.cur is undefined when not.
-func (d *deriver) marks() bool {
-	if d.epoch++; d.epoch == 0 {
-		clear(d.mark)
-		d.epoch = 1
-	}
-	e, mark := d.epoch, d.mark
-	cur := append(d.cur[:0], d.chain[0]...)
-	for _, l := range cur {
-		mark[l] = e
-	}
-	for _, cl := range d.chain[1:] {
-		clashes := 0
-		for _, l := range cl {
-			switch {
-			case mark[l.Neg()] == e:
-				mark[l.Neg()] = 0 // the pivot leaves the resolvent
-				clashes++
-			case mark[l] != e:
-				mark[l] = e
-				cur = append(cur, l)
-			}
-		}
-		if clashes != 1 {
-			d.cur = cur
-			return false
-		}
-	}
-	// Keep each marked literal once: a pivot can leave and come back.
-	out := cur[:0]
-	for _, l := range cur {
-		if mark[l] == e {
-			mark[l] = 0
-			out = append(out, l)
-		}
-	}
-	slices.Sort(out)
-	d.cur = out
-	return true
 }
 
 // hinted returns clause id (1-based) with content lits, derived by chain
